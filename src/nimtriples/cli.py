@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 failed verification or write error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from .advisor import advise_move, winning_moves
@@ -167,11 +169,28 @@ def _run_census(args: argparse.Namespace) -> int:
     return code
 
 
+def _write_replacing(path: str, data: bytes) -> None:
+    """Write ``data`` to a new file beside ``path``, then rename it over ``path``.
+
+    A write that fails part way removes the new file, so ``path`` is either
+    left as it was or holds all of ``data``, never a truncated copy.
+    """
+    scratch = f"{path}.{os.getpid()}.tmp"
+    handle = open(scratch, "xb")
+    try:
+        with handle:
+            handle.write(data)
+        os.replace(scratch, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(scratch)
+        raise
+
+
 def _run_render(args: argparse.Namespace) -> int:
     data = render_pgm(args.k, args.c)
     try:
-        with open(args.out, "wb") as handle:
-            handle.write(data)
+        _write_replacing(args.out, data)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1

@@ -11,8 +11,11 @@ MEX_ENUMERATION_CAP = 1 << 20
 DEFAULT_CENSUS_MAX_K = 7
 DEFAULT_RENDER_MAX_K = 12
 
-# Optional override for both bit-width caps below.
+# Optional override for both bit-width caps below.  It must be an integer in
+# 0..MAX_K_CEILING, which keeps the kernel's lanes within uint16; at k=16 a
+# render is already a 4 GiB grid.
 MAX_K_ENV = "NIM_TRIPLE_MAX_K"
+MAX_K_CEILING = 16
 
 
 class CapExceeded(Exception):
@@ -24,9 +27,12 @@ def _env_max_k() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise ValueError(f"{MAX_K_ENV} must be an integer, got {raw!r}") from None
+        value = None
+    if value is None or not 0 <= value <= MAX_K_CEILING:
+        raise ValueError(f"{MAX_K_ENV} must be an integer in 0..{MAX_K_CEILING}, got {raw!r}")
+    return value
 
 
 def census_max_k() -> int:

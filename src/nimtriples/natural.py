@@ -14,36 +14,45 @@ __all__ = ["bit", "compare", "nim_sum", "parse_natural", "require_natural"]
 
 
 def require_natural(value) -> int:
-    """Return ``value`` as a plain int, rejecting negatives and non-integers."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"not an integer: {value!r}") from None
+    """Return ``value`` as a plain int, rejecting negatives, bools and non-integers."""
+    if type(value) is not int:
+        if type(value) is bool:
+            raise ValueError(f"not an integer: {value!r}")
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"not an integer: {value!r}") from None
     if value < 0:
         raise ValueError(f"not a natural number: {value}")
     return value
 
 
+_PREFIX_BASES = {"0x": 16, "0X": 16, "0b": 2, "0B": 2}
+
+
 def parse_natural(text: str) -> int:
     """Parse a natural number from a decimal, ``0x`` hex, or ``0b`` binary string.
 
-    Signs are rejected outright: negative numbers are not representable, and
-    a leading ``+`` is noise.  Raises ValueError on anything unparseable.
+    Surrounding whitespace is ignored.  Signs, ``_`` separators and non-ASCII
+    digits are rejected: negative numbers are not representable, and the rest
+    is outside the grammar.  Raises ValueError on anything unparseable.
     """
     s = text.strip()
-    if "-" in s or "+" in s:
-        raise ValueError(f"not a natural number: {text!r}")
-    lowered = s.lower()
-    if lowered.startswith("0x"):
-        base, digits = 16, s[2:]
-    elif lowered.startswith("0b"):
-        base, digits = 2, s[2:]
-    else:
-        base, digits = 10, s
-    try:
-        return int(digits, base)
-    except ValueError:
-        raise ValueError(f"not a natural number: {text!r}") from None
+    base = _PREFIX_BASES.get(s[:2], 10)
+    digits = s if base == 10 else s[2:]
+    # int() alone would also take a sign, "_" separators, non-ASCII digits,
+    # and a space or a second prefix of the same base after the prefix.
+    if (
+        digits[:1].isalnum()
+        and digits.isascii()
+        and "_" not in digits
+        and _PREFIX_BASES.get(digits[:2]) != base
+    ):
+        try:
+            return int(digits, base)
+        except ValueError:
+            pass
+    raise ValueError(f"not a natural number: {text!r}")
 
 
 def nim_sum(a: int, b: int) -> int:

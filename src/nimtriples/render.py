@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _kernel
 from .limits import CapExceeded, render_max_k
 from .natural import require_natural
 from .triangles import TriangleClass
@@ -21,10 +22,6 @@ GRAY_LEVELS = {
     TriangleClass.LOOSE: 85,
 }
 
-# Past this, fixed_c dominates every grid coordinate (all entries < 2**12)
-# and also stays clear of int64 overflow in the vectorized path.
-_WIDE_C = 1 << 62
-
 
 def classification_grid(k: int, fixed_c: int, *, max_k: int | None = None) -> np.ndarray:
     """Gray value per pixel for all triangles (a, b, fixed_c) with a, b < 2**k."""
@@ -35,24 +32,19 @@ def classification_grid(k: int, fixed_c: int, *, max_k: int | None = None) -> np
         raise CapExceeded(f"render k={k} exceeds cap {limit}")
     fixed_c = require_natural(fixed_c)
     n = 1 << k
-    if fixed_c >= _WIDE_C:
-        # c exceeds a XOR b everywhere and b XOR c exceeds any a: all loose
+    if fixed_c >= n:
+        # c has a digit above every coordinate, so msb(t) = msb(c) and the
+        # digits there are (0, 0, 1): the case table makes every pixel loose.
         return np.full((n, n), GRAY_LEVELS[TriangleClass.LOOSE], dtype=np.uint8)
-    lane = np.arange(n, dtype=np.int64)
-    a_axis = lane[:, np.newaxis]
-    b_axis = lane[np.newaxis, :]
-    large = (
-        (a_axis > (b_axis ^ fixed_c)).astype(np.int8)
-        + (b_axis > (a_axis ^ fixed_c))
-        + (fixed_c > (a_axis ^ b_axis))
-    )
-    flat = (a_axis ^ b_axis) == fixed_c
-    gray = np.where(
-        flat,
-        GRAY_LEVELS[TriangleClass.FLAT],
-        np.where(large == 3, GRAY_LEVELS[TriangleClass.TIGHT], GRAY_LEVELS[TriangleClass.LOOSE]),
-    )
-    return gray.astype(np.uint8)
+    lane = _kernel.lane(k)
+    grid = np.empty((n, n), dtype=np.uint8)
+    for rows in _kernel.row_blocks(n):
+        flat, tight = _kernel.flat_tight(fixed_c, lane[rows], lane)
+        block = grid[rows]
+        block.fill(GRAY_LEVELS[TriangleClass.LOOSE])
+        np.copyto(block, GRAY_LEVELS[TriangleClass.TIGHT], where=tight)
+        np.copyto(block, GRAY_LEVELS[TriangleClass.FLAT], where=flat)
+    return grid
 
 
 def render_pgm(k: int, fixed_c: int, *, max_k: int | None = None) -> bytes:
@@ -60,4 +52,4 @@ def render_pgm(k: int, fixed_c: int, *, max_k: int | None = None) -> bytes:
     grid = classification_grid(k, fixed_c, max_k=max_k)
     n = grid.shape[0]
     header = f"P5\n{n} {n}\n255\n".encode("ascii")
-    return header + grid.tobytes()
+    return header + memoryview(grid)

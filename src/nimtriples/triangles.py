@@ -43,6 +43,11 @@ class TriangleClass(enum.Enum):
 
 Statuses = tuple[VertexStatus, VertexStatus, VertexStatus]
 
+_L = VertexStatus.LARGE
+_S = VertexStatus.SMALL
+_A = VertexStatus.ALIGNED
+_TIGHT = (_L, _L, _L)
+
 
 @dataclass(frozen=True)
 class TriangleClassification:
@@ -57,18 +62,18 @@ class TriangleClassification:
     discriminant: int | None
 
 
-def _status(x: int, others: int) -> VertexStatus:
-    if x > others:
-        return VertexStatus.LARGE
-    if x == others:
-        return VertexStatus.ALIGNED
-    return VertexStatus.SMALL
+_FLAT = TriangleClassification((_A, _A, _A), TriangleClass.FLAT, None)
 
 
 def classify_vertex(x: int, y: int, z: int) -> VertexStatus:
     """Status of x measured against the Nim sum of y and z."""
     x = require_natural(x)
-    return _status(x, require_natural(y) ^ require_natural(z))
+    others = require_natural(y) ^ require_natural(z)
+    if x > others:
+        return _L
+    if x == others:
+        return _A
+    return _S
 
 
 def discriminant_index(a: int, b: int, c: int) -> int | None:
@@ -87,30 +92,24 @@ def discriminant_index(a: int, b: int, c: int) -> int | None:
 def classify_triangle(a: int, b: int, c: int) -> TriangleClassification:
     """Classify the triangle (a, b, c) by its large-vertex count.
 
-    Flat iff all vertices are aligned (equivalently a XOR b XOR c == 0).
-    Otherwise the large-vertex count is 3 (tight) or 1 (loose); no other
-    count can occur.
+    Flat iff a XOR b XOR c == 0.  Otherwise, with t = a XOR b XOR c, vertex x
+    is large iff (x XOR t) < x, i.e. iff x has digit 1 at msb(t); the digits
+    there have odd parity, so the large-vertex count is 3 (tight) or 1 (loose).
     """
     a = require_natural(a)
     b = require_natural(b)
     c = require_natural(c)
-    total = a ^ b ^ c
-    statuses = (_status(a, total ^ a), _status(b, total ^ b), _status(c, total ^ c))
-    if total == 0:
-        return TriangleClassification(statuses, TriangleClass.FLAT, None)
-    j = total.bit_length() - 1
-    large = statuses.count(VertexStatus.LARGE)
-    if large == 3:
-        kind = TriangleClass.TIGHT
-    elif large == 1:
-        kind = TriangleClass.LOOSE
-    else:  # unreachable: a non-flat triangle has 1 or 3 large vertices
-        raise AssertionError(f"large-vertex count {large} for ({a}, {b}, {c})")
-    return TriangleClassification(statuses, kind, j)
+    t = a ^ b ^ c
+    if t == 0:
+        return _FLAT
+    statuses = (
+        _L if (a ^ t) < a else _S,
+        _L if (b ^ t) < b else _S,
+        _L if (c ^ t) < c else _S,
+    )
+    kind = TriangleClass.TIGHT if statuses == _TIGHT else TriangleClass.LOOSE
+    return TriangleClassification(statuses, kind, t.bit_length() - 1)
 
-
-_L = VertexStatus.LARGE
-_S = VertexStatus.SMALL
 
 # Outcome per digit triple (a_j, b_j, c_j) at the discriminant.  None marks
 # the contradiction rows: digit triples whose XOR balances cannot occur there.
@@ -149,10 +148,13 @@ def reorder_dominant(
     order.  Returns the permuted triple and the permutation as original
     indices, so ``result[k] == input[perm[k]]``.
     """
-    triple = (require_natural(a1), require_natural(a2), require_natural(a3))
-    for i in range(3):
-        rest = tuple(j for j in range(3) if j != i)
-        if triple[i] >= triple[rest[0]] ^ triple[rest[1]]:
-            perm = (i, *rest)
-            return tuple(triple[p] for p in perm), perm
-    raise AssertionError(f"no dominant position in {triple}")
+    a1 = require_natural(a1)
+    a2 = require_natural(a2)
+    a3 = require_natural(a3)
+    t = a1 ^ a2 ^ a3
+    if t == 0 or (a1 ^ t) < a1:
+        return (a1, a2, a3), (0, 1, 2)
+    if (a2 ^ t) < a2:
+        return (a2, a1, a3), (1, 0, 2)
+    # a non-flat triangle has a large vertex, so it is the last one here
+    return (a3, a1, a2), (2, 0, 1)

@@ -189,8 +189,8 @@ def test_census_counts_and_closed_forms():
         brute = _enumerated_counts(k)
         if got != brute:
             problems.append(f"k={k} enumerated {got}!={brute}")
-    for k in range(1, 7):
-        if not census_closed_form_check(k):
+    for k in range(1, 9):
+        if not census_closed_form_check(k, max_k=8):
             problems.append(f"closed form k={k}")
     start = time.perf_counter()
     census(6)
@@ -200,7 +200,7 @@ def test_census_counts_and_closed_forms():
     report(
         "census counts",
         not problems,
-        "; ".join(problems) or f"frozen+enumerated k=1..2, closed form k=1..6, "
+        "; ".join(problems) or f"frozen+enumerated k=1..2, closed form k=1..8, "
         f"census(6) {elapsed:.2f}s",
     )
 
@@ -284,6 +284,6 @@ def test_cli_render_golden_bytes(tmp_path, capsys):
         report(
             "render golden",
             ok,
-            f"exit={codes} bytes={'match' if data_first == golden else data_first!r} "
+            f"exit={codes} bytes={'match' if data_first == golden else repr(data_first)} "
             f"repeat={'identical' if data_first == data_second else 'differs'}",
         )

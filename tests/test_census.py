@@ -38,7 +38,7 @@ def test_census_k2():
     assert (report.flat, report.tight, report.loose) == (16, 12, 36)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_census_matches_per_triple_classification(k):
     report = census(k)
     assert report.counts == brute_counts(k)
@@ -107,3 +107,12 @@ def test_report_as_dict():
 def test_report_rejects_bad_sum():
     with pytest.raises(ValueError):
         CensusReport(k=1, flat=4, tight=1, loose=4, elapsed_ms=0.0)
+
+
+@pytest.mark.parametrize("k", range(1, 65))
+def test_closed_form_is_the_sum_over_discriminants(k):
+    # above j: 4**(k-1-j) even-parity digit triples; at j: one tight row; below j: 8**j
+    tight = sum(4 ** (k - 1 - j) * 8**j for j in range(k))
+    flat = 4**k
+    assert closed_form_counts(k) == (flat, tight, 3 * tight)
+    assert flat + 4 * tight == 8**k

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,3 +229,66 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text", ["1_000", "٣", "0x0x5"])
+def test_number_outside_the_grammar_is_usage_error(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["sum", text, "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("raw", ["-1", "17", "banana"])
+def test_max_k_env_out_of_range_is_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("NIM_TRIPLE_MAX_K", raw)
+    code, out, err = run(capsys, "census", "1")
+    assert (code, out) == (2, "")
+    assert "0..16" in err
+
+
+def test_max_k_env_range_ends(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("NIM_TRIPLE_MAX_K", "0")
+    assert run(capsys, "census", "1")[0] == 3
+    assert run(capsys, "render", "0", "0", "--out", str(tmp_path / "dot.pgm"))[0] == 0
+    monkeypatch.setenv("NIM_TRIPLE_MAX_K", "16")
+    assert run(capsys, "census", "1")[0] == 0
+
+
+_LIMITED_WRITE = """
+import resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1000, hard))
+from nimtriples.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_render_failed_write_leaves_existing_file_untouched(tmp_path):
+    # the child may write at most 1000 bytes per file, less than the 4107-byte PGM
+    target = tmp_path / "grid.pgm"
+    target.write_bytes(b"previous render")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_WRITE, "render", "6", "0", "--out", str(target)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert f"cannot write {target}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert target.read_bytes() == b"previous render"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_render_replaces_existing_file(capsys, tmp_path):
+    target = tmp_path / "grid.pgm"
+    target.write_bytes(b"previous render")
+    code, _, _ = run(capsys, "render", "1", "0", "--out", str(target))
+    assert code == 0
+    assert target.read_bytes() == b"P5\n2 2\n255\n" + bytes([255, 85, 85, 255])
+    assert list(tmp_path.iterdir()) == [target]

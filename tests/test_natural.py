@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -135,3 +137,46 @@ def test_closure_under_width(k, data):
     a = data.draw(st.integers(min_value=0, max_value=(1 << k) - 1))
     b = data.draw(st.integers(min_value=0, max_value=(1 << k) - 1))
     assert nim_sum(a, b) < 1 << k
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_require_natural_rejects_bool(value):
+    with pytest.raises(ValueError):
+        require_natural(value)
+    with pytest.raises(ValueError):
+        nim_sum(value, 2)
+    with pytest.raises(ValueError):
+        nim_sum(2, value)
+
+
+@pytest.mark.parametrize(
+    "text", ["1_000", "0x_1f", "0b1_0", "٣", "５", "1٣", "0x0x5", "0b0b1", "0x 5", "0o17"]
+)
+def test_parse_rejects_text_outside_the_grammar(text):
+    with pytest.raises(ValueError):
+        parse_natural(text)
+
+
+def test_parse_keeps_prefix_like_hex_digits():
+    assert parse_natural("0x0b1") == 0xB1
+    assert parse_natural("007") == 7
+
+
+_GRAMMAR = re.compile(r"\s*(?:0[xX]([0-9a-fA-F]+)|0[bB]([01]+)|([0-9]+))\s*")
+
+
+@given(st.text(alphabet="0123456789abfxXbB_+- \t٣５", max_size=12))
+def test_parse_accepts_exactly_the_grammar(text):
+    match = _GRAMMAR.fullmatch(text)
+    if match is None:
+        with pytest.raises(ValueError):
+            parse_natural(text)
+    else:
+        hex_digits, bin_digits, dec_digits = match.groups()
+        if hex_digits is not None:
+            expected = int(hex_digits, 16)
+        elif bin_digits is not None:
+            expected = int(bin_digits, 2)
+        else:
+            expected = int(dec_digits)
+        assert parse_natural(text) == expected
