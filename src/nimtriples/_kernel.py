@@ -1,5 +1,9 @@
 """The paper's bit rule as one vectorised numpy kernel, shared by census and render.
 
+This is the only module that imports numpy.  ``census`` and
+``classification_grid`` import it inside the call, after their argument and
+cap checks, so the scalar routes and the command line start without numpy.
+
 With ``t = a ^ b ^ c``, ``m = a & b & c`` and ``j = msb(t)``:
 
 - The triangle is flat iff ``t == 0``: each vertex then equals the Nim sum
@@ -47,3 +51,35 @@ def flat_tight(s: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, 
     t = (rows ^ s)[:, np.newaxis] ^ cols
     m = (rows & s)[:, np.newaxis] & cols
     return t == 0, (m ^ t) < m
+
+
+def count(k: int) -> tuple[int, int]:
+    """Flat and tight tallies over every triple in [0, 2**k)^3, one a-slice at a time."""
+    n = 1 << k
+    lanes = lane(k)
+    blocks = row_blocks(n)
+    flat = tight = 0
+    for a in range(n):
+        for rows in blocks:
+            flat_mask, tight_mask = flat_tight(a, lanes[rows], lanes)
+            flat += int(np.count_nonzero(flat_mask))
+            tight += int(np.count_nonzero(tight_mask))
+    return flat, tight
+
+
+def grid(k: int, s: int, flat: int, tight: int, loose: int) -> np.ndarray:
+    """uint8 grid whose cell (x, y) holds the given value for the class of (s, x, y)."""
+    n = 1 << k
+    if s >= n:
+        # s has a digit above every coordinate, so msb(t) = msb(s) and the
+        # digits there are (1, 0, 0): the case table makes every cell loose.
+        return np.full((n, n), loose, dtype=np.uint8)
+    lanes = lane(k)
+    out = np.empty((n, n), dtype=np.uint8)
+    for rows in row_blocks(n):
+        flat_mask, tight_mask = flat_tight(s, lanes[rows], lanes)
+        block = out[rows]
+        block.fill(loose)
+        np.copyto(block, tight, where=tight_mask)
+        np.copyto(block, flat, where=flat_mask)
+    return out

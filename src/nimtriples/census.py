@@ -5,10 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernel
-from .limits import CapExceeded, census_max_k
+from .limits import CapExceeded, census_max_k, shown
 
 __all__ = ["CensusReport", "census", "census_closed_form_check", "closed_form_counts"]
 
@@ -59,17 +56,11 @@ def census(k: int, *, max_k: int | None = None) -> CensusReport:
     if k < 1:
         raise ValueError(f"bit width must be >= 1, got {k}")
     if k > limit:
-        raise CapExceeded(f"census k={k} exceeds cap {limit}")
+        raise CapExceeded(f"census k={shown(k)} exceeds cap {limit}")
+    from . import _kernel
+
     start = time.perf_counter()
-    n = 1 << k
-    lane = _kernel.lane(k)
-    blocks = _kernel.row_blocks(n)
-    flat = tight = 0
-    for a in range(n):
-        for rows in blocks:
-            flat_mask, tight_mask = _kernel.flat_tight(a, lane[rows], lane)
-            flat += int(np.count_nonzero(flat_mask))
-            tight += int(np.count_nonzero(tight_mask))
+    flat, tight = _kernel.count(k)
     loose = 8**k - flat - tight
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return CensusReport(k, flat, tight, loose, elapsed_ms)

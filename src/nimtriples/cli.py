@@ -3,7 +3,7 @@
 Numbers are accepted in decimal, 0x hex, or 0b binary.  Text output is a
 pure function of argv; ``--json`` emits the same fields as one JSON object.
 Exit codes: 0 success, 1 failed verification or write error, 2 usage error,
-3 enumeration cap exceeded.
+3 cap exceeded: an enumeration cap, or an integer too long to print in decimal.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import contextlib
 import json
 import os
 import sys
+from collections.abc import Callable, Iterator
 
 from .advisor import advise_move, winning_moves
 from .census import census, closed_form_counts
@@ -76,13 +77,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
-    print(json.dumps(payload) if args.json else text)
+def _integers(value) -> Iterator[int]:
+    """Every int in a payload of dicts, lists and scalars."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _integers(item)
+    elif type(value) is int:
+        yield value
+
+
+def _emit(args: argparse.Namespace, payload: dict, text: Callable[[], str]) -> None:
+    """Print ``payload`` as JSON under ``--json``, else the line ``text()``.
+
+    Every integer ``text()`` prints is also in ``payload``.  One with more
+    decimal digits than the interpreter converts (``sys.get_int_max_str_digits``)
+    is refused as a cap, exit 3, before anything is printed.
+    """
+    try:
+        line = json.dumps(payload) if args.json else text()
+    except ValueError:
+        widest = max(_integers(payload), default=0)
+        limit = sys.get_int_max_str_digits()
+        if not limit or widest < 10**limit:
+            raise
+        raise CapExceeded(
+            f"result of {widest.bit_length()} bits exceeds the {limit}-digit decimal output limit"
+        ) from None
+    print(line)
 
 
 def _run_sum(args: argparse.Namespace) -> int:
     value = nim_sum(args.a, args.b)
-    _emit(args, str(value), {"value": value})
+    _emit(args, {"value": value}, lambda: str(value))
     return 0
 
 
@@ -96,20 +124,23 @@ def _run_classify(args: argparse.Namespace) -> int:
     for name, status in zip("abc", result.statuses):
         parts.append(f"{name}:{status.value}")
         payload[name] = status.value
-    _emit(args, " ".join(parts), payload)
+    _emit(args, payload, lambda: " ".join(parts))
     return 0
 
 
 def _run_reorder(args: argparse.Namespace) -> int:
     triple, perm = reorder_dominant(args.a, args.b, args.c)
-    text = f"{triple[0]} {triple[1]} {triple[2]} perm={perm[0]},{perm[1]},{perm[2]}"
-    _emit(args, text, {"triple": list(triple), "perm": list(perm)})
+    _emit(
+        args,
+        {"triple": list(triple), "perm": list(perm)},
+        lambda: f"{triple[0]} {triple[1]} {triple[2]} perm={perm[0]},{perm[1]},{perm[2]}",
+    )
     return 0
 
 
 def _run_mex(args: argparse.Namespace) -> int:
     value = mex_oracle(args.a, args.b)
-    _emit(args, str(value), {"value": value})
+    _emit(args, {"value": value}, lambda: str(value))
     return 0
 
 
@@ -118,38 +149,37 @@ def _run_table(args: argparse.Namespace) -> int:
     if args.verify:
         ok, mismatch = verify_table_equals_xor(rows)
         if ok:
-            _emit(args, f"n={args.n} xor=ok", {"n": args.n, "xor": "ok"})
+            _emit(args, {"n": args.n, "xor": "ok"}, lambda: f"n={args.n} xor=ok")
             return 0
         a, b = mismatch
         _emit(
             args,
-            f"n={args.n} xor=mismatch at={a},{b}",
             {"n": args.n, "xor": "mismatch", "at": [a, b]},
+            lambda: f"n={args.n} xor=mismatch at={a},{b}",
         )
         return 1
-    _emit(args, table_to_text(rows), {"n": args.n, "rows": rows})
+    _emit(args, {"n": args.n, "rows": rows}, lambda: table_to_text(rows))
     return 0
 
 
 def _run_move(args: argparse.Namespace) -> int:
     if args.all:
         moves = winning_moves(args.piles)
-        if args.json:
-            print(json.dumps({"moves": [{"pile": m.pile, "new": m.new_size} for m in moves]}))
-        elif moves:
-            for m in moves:
-                print(f"winning pile={m.pile} new={m.new_size}")
-        else:
-            print("no-winning-move")
+        _emit(
+            args,
+            {"moves": [{"pile": m.pile, "new": m.new_size} for m in moves]},
+            lambda: "\n".join(f"winning pile={m.pile} new={m.new_size}" for m in moves)
+            or "no-winning-move",
+        )
         return 0
     advice = advise_move(args.piles)
     if advice is None:
-        _emit(args, "no-winning-move", {"winning": False})
+        _emit(args, {"winning": False}, lambda: "no-winning-move")
     else:
         _emit(
             args,
-            f"winning pile={advice.pile} new={advice.new_size}",
             {"winning": True, "pile": advice.pile, "new": advice.new_size},
+            lambda: f"winning pile={advice.pile} new={advice.new_size}",
         )
     return 0
 
@@ -165,7 +195,7 @@ def _run_census(args: argparse.Namespace) -> int:
         payload["closed_form"] = verdict
         if verdict != "ok":
             code = 1
-    _emit(args, text, payload)
+    _emit(args, payload, lambda: text)
     return code
 
 
@@ -195,7 +225,11 @@ def _run_render(args: argparse.Namespace) -> int:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
     n = 1 << args.k
-    _emit(args, f"out={args.out} width={n} height={n}", {"out": args.out, "width": n, "height": n})
+    _emit(
+        args,
+        {"out": args.out, "width": n, "height": n},
+        lambda: f"out={args.out} width={n} height={n}",
+    )
     return 0
 
 

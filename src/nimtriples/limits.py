@@ -1,4 +1,4 @@
-"""Enumeration caps shared by the mex oracle, the census, and the renderer."""
+"""Enumeration caps shared by the mex oracle, the greedy table, the census, and the renderer."""
 
 from __future__ import annotations
 
@@ -7,6 +7,9 @@ import os
 # The exclusion set holds up to a + b elements; beyond this the oracle refuses
 # and the caller should use the direct XOR instead.
 MEX_ENUMERATION_CAP = 1 << 20
+
+# The greedy table fills n * n cells in Python; n = 1024 takes about 0.6 s.
+TABLE_MAX_N = 1024
 
 DEFAULT_CENSUS_MAX_K = 7
 DEFAULT_RENDER_MAX_K = 12
@@ -20,6 +23,16 @@ MAX_K_CEILING = 16
 
 class CapExceeded(Exception):
     """An enumeration-bounded operation was asked to exceed its cap."""
+
+
+def shown(value: int) -> str:
+    """``value`` in decimal for a cap message, or its bit width once it passes 64 bits.
+
+    An operand far past a cap may be too long for the interpreter to print
+    in decimal at all, and the message must not fail while it is built.
+    """
+    bits = value.bit_length()
+    return str(value) if bits <= 64 else f"<{bits}-bit number>"
 
 
 def _env_max_k() -> int | None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 
-from .limits import MEX_ENUMERATION_CAP, CapExceeded
+from .limits import MEX_ENUMERATION_CAP, TABLE_MAX_N, CapExceeded, shown
 from .natural import require_natural
 
 __all__ = [
@@ -26,16 +26,24 @@ __all__ = [
 ]
 
 
+def _checked_operands(a: int, b: int, cap: int) -> tuple[int, int]:
+    """``a`` and ``b`` as naturals, or CapExceeded when a + b passes ``cap``."""
+    a = require_natural(a)
+    b = require_natural(b)
+    if a + b > cap:
+        raise CapExceeded(
+            f"exclusion set for ({shown(a)}, {shown(b)}) needs {shown(a + b)} entries, cap is {cap}"
+        )
+    return a, b
+
+
 def exclusion_set(a: int, b: int, *, cap: int = MEX_ENUMERATION_CAP) -> set[int]:
     """Every value reachable from (a, b) by lowering one operand of XOR.
 
     Holds up to a + b elements, hence the cap; CapExceeded signals the
     caller to use the direct XOR instead of enumerating.
     """
-    a = require_natural(a)
-    b = require_natural(b)
-    if a + b > cap:
-        raise CapExceeded(f"exclusion set for ({a}, {b}) needs {a + b} entries, cap is {cap}")
+    a, b = _checked_operands(a, b, cap)
     return {x ^ b for x in range(a)} | {a ^ y for y in range(b)}
 
 
@@ -43,13 +51,17 @@ def mex_oracle(a: int, b: int, *, cap: int = MEX_ENUMERATION_CAP) -> int:
     """Smallest natural outside exclusion_set(a, b).
 
     Agrees with a XOR b everywhere.  This is the validation route, not the
-    computation route: it costs Theta(a + b) while XOR costs O(bits).
+    computation route: it costs Theta(a + b) while XOR costs O(bits).  It
+    marks the set's members in a bytearray without building the set: every
+    x ^ b with x < a is at most x + b < a + b, and likewise every a ^ y with
+    y < b, so a + b + 1 flags hold every member and at least one clear flag.
     """
-    excluded = exclusion_set(a, b, cap=cap)
-    present = bytearray(len(excluded) + 1)  # mex(S) <= |S|, so this is tight
-    for value in excluded:
-        if value < len(present):
-            present[value] = 1
+    a, b = _checked_operands(a, b, cap)
+    present = bytearray(a + b + 1)
+    for x in range(a):
+        present[x ^ b] = 1
+    for y in range(b):
+        present[a ^ y] = 1
     return present.index(0)
 
 
@@ -59,11 +71,15 @@ def greedy_minimal_table(n: int) -> list[list[int]]:
     A value is legal when it does not already appear in the current row or
     the current column, so the filled prefix is repetition-free in every row
     and column at all times.  Greedy choice per cell: the lowest clear bit
-    of the union of the row and column occupancy masks.
+    of the union of the row and column occupancy masks.  The fill costs
+    n * n cells of time and memory, so n above TABLE_MAX_N raises
+    CapExceeded before anything is allocated.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"table size must be >= 1, got {n}")
+    if n > TABLE_MAX_N:
+        raise CapExceeded(f"table n={shown(n)} exceeds cap {TABLE_MAX_N}")
     col_used = [0] * n
     rows: list[list[int]] = []
     for _ in range(n):

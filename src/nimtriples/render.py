@@ -7,12 +7,14 @@ PGM, so renders are byte-identical across runs and platforms.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from . import _kernel
-from .limits import CapExceeded, render_max_k
+from .limits import CapExceeded, render_max_k, shown
 from .natural import require_natural
 from .triangles import TriangleClass
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["GRAY_LEVELS", "classification_grid", "render_pgm"]
 
@@ -29,22 +31,17 @@ def classification_grid(k: int, fixed_c: int, *, max_k: int | None = None) -> np
     if k < 0:
         raise ValueError(f"bit width must be >= 0, got {k}")
     if k > limit:
-        raise CapExceeded(f"render k={k} exceeds cap {limit}")
+        raise CapExceeded(f"render k={shown(k)} exceeds cap {limit}")
     fixed_c = require_natural(fixed_c)
-    n = 1 << k
-    if fixed_c >= n:
-        # c has a digit above every coordinate, so msb(t) = msb(c) and the
-        # digits there are (0, 0, 1): the case table makes every pixel loose.
-        return np.full((n, n), GRAY_LEVELS[TriangleClass.LOOSE], dtype=np.uint8)
-    lane = _kernel.lane(k)
-    grid = np.empty((n, n), dtype=np.uint8)
-    for rows in _kernel.row_blocks(n):
-        flat, tight = _kernel.flat_tight(fixed_c, lane[rows], lane)
-        block = grid[rows]
-        block.fill(GRAY_LEVELS[TriangleClass.LOOSE])
-        np.copyto(block, GRAY_LEVELS[TriangleClass.TIGHT], where=tight)
-        np.copyto(block, GRAY_LEVELS[TriangleClass.FLAT], where=flat)
-    return grid
+    from . import _kernel
+
+    return _kernel.grid(
+        k,
+        fixed_c,
+        GRAY_LEVELS[TriangleClass.FLAT],
+        GRAY_LEVELS[TriangleClass.TIGHT],
+        GRAY_LEVELS[TriangleClass.LOOSE],
+    )
 
 
 def render_pgm(k: int, fixed_c: int, *, max_k: int | None = None) -> bytes:

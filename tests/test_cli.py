@@ -292,3 +292,58 @@ def test_render_replaces_existing_file(capsys, tmp_path):
     assert code == 0
     assert target.read_bytes() == b"P5\n2 2\n255\n" + bytes([255, 85, 85, 255])
     assert list(tmp_path.iterdir()) == [target]
+
+
+# 16000 bits, about 4817 decimal digits: past the interpreter's default limit of 4300
+WIDE = "0x" + "f" * 4000
+DECIMAL_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not 0 < DECIMAL_LIMIT < 4817, reason="the interpreter prints 16000 bits")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum", WIDE, "1"],
+        ["--json", "sum", WIDE, "1"],
+        ["reorder", WIDE, "1", "2"],
+        ["move", WIDE, WIDE, "1"],
+        ["move", WIDE, WIDE, "1", "--all"],
+        ["--json", "move", WIDE, WIDE, "1", "--all"],
+    ],
+)
+def test_output_too_wide_for_decimal_is_a_cap(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+    assert "16000 bits" in err
+    assert f"{DECIMAL_LIMIT}-digit" in err
+
+
+def test_wide_operands_with_a_short_result_still_print(capsys):
+    assert run(capsys, "sum", WIDE, WIDE) == (0, "0\n", "")
+    code, out, _ = run(capsys, "classify", WIDE, "1", "2")
+    assert (code, out) == (0, "loose j=15999 a:large b:small c:small\n")
+    code, out, _ = run(capsys, "move", WIDE, "1", "2")
+    assert (code, out) == (0, "winning pile=0 new=3\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", WIDE],
+        ["table", WIDE],
+        ["mex", WIDE, "1"],
+        ["render", WIDE, "0", "--out", "unused.pgm"],
+    ],
+)
+def test_wide_operand_past_a_cap_is_named_by_width(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "<16000-bit number>" in err
+    assert "Exceeds the limit" not in err
+
+
+def test_table_cap(capsys):
+    code, out, err = run(capsys, "table", "1025")
+    assert (code, out) == (3, "")
+    assert err == "error: table n=1025 exceeds cap 1024\n"

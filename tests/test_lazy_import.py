@@ -1,0 +1,113 @@
+"""numpy loads only where the kernel runs: inside census() and classification_grid().
+
+Each check runs in a fresh interpreter, because the test process has loaded
+numpy long before.  Nothing here asserts a timing.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "nimtriples"
+
+_CHILD = """
+import contextlib, io, json, sys
+import nimtriples
+after_import = "numpy" in sys.modules
+from nimtriples.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([after_import, code, out.getvalue(), "numpy" in sys.modules]))
+"""
+
+
+def run_child(argv, tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "NIM_TRIPLE_MAX_K"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        (["sum", "5", "3"], 0),
+        (["classify", "5", "1", "2"], 0),
+        (["reorder", "1", "2", "7"], 0),
+        (["move", "5", "1", "2"], 0),
+        (["move", "2", "2", "3", "--all"], 0),
+        (["mex", "2", "3"], 0),
+        (["table", "4"], 0),
+        (["census", "8"], 3),
+        (["render", "13", "0", "--out", "capped.pgm"], 3),
+    ],
+    ids=[
+        "sum", "classify", "reorder", "move", "move-all", "mex", "table",
+        "census-capped", "render-capped",
+    ],
+)
+def test_command_runs_without_numpy(tmp_path, argv, code):
+    after_import, got_code, _, after_main = run_child(argv, tmp_path)
+    assert (after_import, got_code, after_main) == (False, code, False)
+
+
+def test_census_and_render_still_run_the_kernel(tmp_path):
+    census = run_child(["census", "3"], tmp_path)
+    assert census == [False, 0, "k=3 flat=64 tight=112 loose=336\n", True]
+    render = run_child(["render", "4", "5", "--out", "r.pgm"], tmp_path)
+    assert render == [False, 0, "out=r.pgm width=16 height=16\n", True]
+    from nimtriples import render_pgm
+
+    assert (tmp_path / "r.pgm").read_bytes() == render_pgm(4, 5)
+
+
+def _runs_at_import(body):
+    """Statements of a module body that run when it is imported.
+
+    Function and class bodies run later; an ``if TYPE_CHECKING:`` block never.
+    """
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _runs_at_import(node.orelse)
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _runs_at_import(getattr(node, field, []))
+
+
+def _loads_numpy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0:
+            return node.module.split(".")[0] == "numpy"
+        if node.module is None:
+            return any(alias.name == "_kernel" for alias in node.names)
+        return node.module == "_kernel"
+    return False
+
+
+def test_only_the_kernel_imports_numpy_at_module_level():
+    importers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if any(_loads_numpy(node) for node in _runs_at_import(ast.parse(path.read_text()).body))
+    )
+    assert importers == ["_kernel.py"]

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nimtriples import (
+    MEX_ENUMERATION_CAP,
     CapExceeded,
     exclusion_set,
     greedy_minimal_table,
@@ -14,6 +15,7 @@ from nimtriples import (
     table_to_text,
     verify_table_equals_xor,
 )
+from nimtriples.limits import TABLE_MAX_N
 
 small = st.integers(min_value=0, max_value=400)
 
@@ -55,9 +57,24 @@ def test_mex_oracle_examples():
 
 
 def test_mex_oracle_matches_nim_sum_small_grid():
-    for a in range(32):
-        for b in range(32):
+    for a in range(64):
+        for b in range(64):
             assert mex_oracle(a, b) == a ^ b
+
+
+@pytest.mark.parametrize("a", [0, 3, MEX_ENUMERATION_CAP // 2 - 1, MEX_ENUMERATION_CAP])
+def test_mex_oracle_at_the_cap(a):
+    b = MEX_ENUMERATION_CAP - a
+    assert mex_oracle(a, b) == a ^ b
+
+
+@pytest.mark.parametrize("bad", [True, -1, 2.0])
+def test_exclusion_set_and_oracle_reject_the_same_operands(bad):
+    for route in (exclusion_set, mex_oracle):
+        with pytest.raises(ValueError):
+            route(bad, 1)
+        with pytest.raises(ValueError):
+            route(1, bad)
 
 
 def test_every_smaller_value_is_excluded_small_grid():
@@ -85,6 +102,15 @@ def test_greedy_table_four():
 def test_greedy_table_rejects_empty():
     with pytest.raises(ValueError):
         greedy_minimal_table(0)
+
+
+@pytest.mark.parametrize(
+    "n", [TABLE_MAX_N + 1, 1 << 62, 1 << 20000], ids=["cap+1", "2**62", "2**20000"]
+)
+def test_greedy_table_cap(n):
+    # tables this large could never be allocated: the cap must come first
+    with pytest.raises(CapExceeded, match=f"cap {TABLE_MAX_N}"):
+        greedy_minimal_table(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
