@@ -1,28 +1,38 @@
-"""Exhaustive flat/tight/loose tallies over cubic ranges, with closed-form checks."""
+"""Flat/tight/loose tallies over cubic ranges: counted per discriminant, checked by a sweep."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from . import _kernel
 from .limits import CapExceeded, census_max_k, shown
 
 __all__ = ["CensusReport", "census", "census_closed_form_check", "closed_form_counts"]
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    """Class tallies over all triples (a, b, c) with entries below 2**k."""
-
+class _CensusFields(NamedTuple):
     k: int
     flat: int
     tight: int
     loose: int
     elapsed_ms: float
 
-    def __post_init__(self) -> None:
-        if self.flat + self.tight + self.loose != self.total:
+
+class CensusReport(_CensusFields):
+    """Class tallies over all triples (a, b, c) with entries below 2**k."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, flat: int, tight: int, loose: int, elapsed_ms: float):
+        if flat + tight + loose != 8**k:
             raise ValueError("tallies must cover every triple in the cube")
+        return super().__new__(cls, k, flat, tight, loose, elapsed_ms)
+
+    @classmethod
+    def _make(cls, iterable) -> CensusReport:
+        # NamedTuple's _make and _replace skip __new__; route them through it.
+        return cls(*iterable)
 
     @property
     def total(self) -> int:
@@ -45,23 +55,25 @@ class CensusReport:
         return fields
 
 
-def census(k: int, *, max_k: int | None = None) -> CensusReport:
-    """Classify every triple in [0, 2**k)^3 and tally the classes.
-
-    The sweep runs one a-slice at a time over blocks of the (b, c) grid, so
-    memory stays bounded by the kernel block and the tallies are
-    deterministic regardless of how the slices are batched.
-    """
+def _check_cap(k: int, max_k: int | None) -> None:
     limit = census_max_k() if max_k is None else max_k
     if k < 1:
         raise ValueError(f"bit width must be >= 1, got {k}")
     if k > limit:
         raise CapExceeded(f"census k={shown(k)} exceeds cap {limit}")
-    from . import _kernel
 
+
+def census(k: int, *, max_k: int | None = None) -> CensusReport:
+    """Tally the classes of every triple in [0, 2**k)^3.
+
+    The tallies are counted per discriminant (``closed_form_counts``) in
+    O(k) integer steps.  The cap still applies, so the command line refuses
+    the same widths as before; ``census_closed_form_check`` is the
+    exhaustive route that these counts are checked against.
+    """
+    _check_cap(k, max_k)
     start = time.perf_counter()
-    flat, tight = _kernel.count(k)
-    loose = 8**k - flat - tight
+    flat, tight, loose = closed_form_counts(k)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return CensusReport(k, flat, tight, loose, elapsed_ms)
 
@@ -77,7 +89,7 @@ def closed_form_counts(k: int) -> tuple[int, int, int]:
     Below j any digits are allowed, 8**j choices.  So
     tight = sum over j < k of 4**(k-1-j) * 8**j = 4**(k-1) * sum of 2**j
     = 4**(k-1) * (2**k - 1), and loose_j = 3 * tight_j.
-    census_closed_form_check compares this with an exhaustive census.
+    census_closed_form_check compares this with an exhaustive sweep.
     """
     if k < 1:
         raise ValueError(f"bit width must be >= 1, got {k}")
@@ -87,5 +99,10 @@ def closed_form_counts(k: int) -> tuple[int, int, int]:
 
 
 def census_closed_form_check(k: int, *, max_k: int | None = None) -> bool:
-    """True iff the closed-form tallies match an actual exhaustive census."""
-    return census(k, max_k=max_k).counts == closed_form_counts(k)
+    """True iff the closed-form tallies match an exhaustive sweep of every triple.
+
+    The sweep builds each a-slice with the kernel's byte grid and counts its
+    bytes, under the same cap as ``census``.
+    """
+    _check_cap(k, max_k)
+    return _kernel.count(k) == closed_form_counts(k)

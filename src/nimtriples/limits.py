@@ -15,8 +15,7 @@ DEFAULT_CENSUS_MAX_K = 7
 DEFAULT_RENDER_MAX_K = 12
 
 # Optional override for both bit-width caps below.  It must be an integer in
-# 0..MAX_K_CEILING, which keeps the kernel's lanes within uint16; at k=16 a
-# render is already a 4 GiB grid.
+# 0..MAX_K_CEILING, a memory bound: at k=16 a render is already a 4 GiB grid.
 MAX_K_ENV = "NIM_TRIPLE_MAX_K"
 MAX_K_CEILING = 16
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from . import _kernel
 from .limits import CapExceeded, render_max_k, shown
 from .natural import require_natural
 from .triangles import TriangleClass
@@ -25,28 +26,36 @@ GRAY_LEVELS = {
 }
 
 
-def classification_grid(k: int, fixed_c: int, *, max_k: int | None = None) -> np.ndarray:
-    """Gray value per pixel for all triangles (a, b, fixed_c) with a, b < 2**k."""
+def _pieces(k: int, fixed_c: int, max_k: int | None) -> list[bytes]:
+    """The grid of (a, b, fixed_c) as ``_kernel.pieces``, once k and fixed_c pass their checks."""
     limit = render_max_k() if max_k is None else max_k
     if k < 0:
         raise ValueError(f"bit width must be >= 0, got {k}")
     if k > limit:
         raise CapExceeded(f"render k={shown(k)} exceeds cap {limit}")
-    fixed_c = require_natural(fixed_c)
-    from . import _kernel
-
-    return _kernel.grid(
+    return _kernel.pieces(
         k,
-        fixed_c,
+        require_natural(fixed_c),
         GRAY_LEVELS[TriangleClass.FLAT],
         GRAY_LEVELS[TriangleClass.TIGHT],
         GRAY_LEVELS[TriangleClass.LOOSE],
     )
 
 
+def classification_grid(k: int, fixed_c: int, *, max_k: int | None = None) -> np.ndarray:
+    """Gray value per pixel for all triangles (a, b, fixed_c) with a, b < 2**k.
+
+    A writable (2**k, 2**k) uint8 array; this is the one call that loads numpy.
+    """
+    cells = bytearray().join(_pieces(k, fixed_c, max_k))
+    import numpy as np
+
+    n = 1 << k
+    return np.frombuffer(cells, np.uint8).reshape(n, n)
+
+
 def render_pgm(k: int, fixed_c: int, *, max_k: int | None = None) -> bytes:
     """Binary PGM (magic P5, maxval 255) of the classification grid."""
-    grid = classification_grid(k, fixed_c, max_k=max_k)
-    n = grid.shape[0]
-    header = f"P5\n{n} {n}\n255\n".encode("ascii")
-    return header + memoryview(grid)
+    cells = _pieces(k, fixed_c, max_k)
+    n = 1 << k
+    return b"".join([f"P5\n{n} {n}\n255\n".encode("ascii"), *cells])

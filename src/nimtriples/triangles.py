@@ -12,7 +12,7 @@ where a's digit differs from the XOR of b's and c's digits.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .natural import require_natural
 
@@ -49,8 +49,7 @@ _A = VertexStatus.ALIGNED
 _TIGHT = (_L, _L, _L)
 
 
-@dataclass(frozen=True)
-class TriangleClassification:
+class TriangleClassification(NamedTuple):
     """Per-vertex statuses plus the derived class of the whole triangle.
 
     ``discriminant`` is None exactly for flat triangles; otherwise it is the

@@ -107,6 +107,8 @@ def test_report_as_dict():
 def test_report_rejects_bad_sum():
     with pytest.raises(ValueError):
         CensusReport(k=1, flat=4, tight=1, loose=4, elapsed_ms=0.0)
+    with pytest.raises(ValueError):
+        census(1)._replace(loose=4)
 
 
 @pytest.mark.parametrize("k", range(1, 65))

@@ -1,4 +1,7 @@
-"""numpy loads only where the kernel runs: inside census() and classification_grid().
+"""numpy loads only inside classification_grid(), which returns an ndarray.
+
+The kernel builds grids in plain bytes, so every command starts and runs
+without numpy, and ``import nimtriples`` leaves ``dataclasses`` unloaded.
 
 Each check runs in a fresh interpreter, because the test process has loaded
 numpy long before.  Nothing here asserts a timing.
@@ -28,19 +31,24 @@ print(json.dumps([after_import, code, out.getvalue(), "numpy" in sys.modules]))
 """
 
 
-def run_child(argv, tmp_path):
+def fresh(code, *args, cwd=None):
+    """JSON printed by ``code`` run in a new interpreter that imports from src."""
     env = {k: v for k, v in os.environ.items() if k != "NIM_TRIPLE_MAX_K"}
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(argv)],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         env=env,
-        cwd=tmp_path,
+        cwd=cwd,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def run_child(argv, tmp_path):
+    return fresh(_CHILD, json.dumps(argv), cwd=tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -66,14 +74,32 @@ def test_command_runs_without_numpy(tmp_path, argv, code):
     assert (after_import, got_code, after_main) == (False, code, False)
 
 
-def test_census_and_render_still_run_the_kernel(tmp_path):
+def test_census_and_render_keep_their_output_without_numpy(tmp_path):
     census = run_child(["census", "3"], tmp_path)
-    assert census == [False, 0, "k=3 flat=64 tight=112 loose=336\n", True]
+    assert census == [False, 0, "k=3 flat=64 tight=112 loose=336\n", False]
+    check = run_child(["census", "3", "--check-closed-form"], tmp_path)
+    assert check == [False, 0, "k=3 flat=64 tight=112 loose=336 closed-form=ok\n", False]
     render = run_child(["render", "4", "5", "--out", "r.pgm"], tmp_path)
-    assert render == [False, 0, "out=r.pgm width=16 height=16\n", True]
+    assert render == [False, 0, "out=r.pgm width=16 height=16\n", False]
     from nimtriples import render_pgm
 
     assert (tmp_path / "r.pgm").read_bytes() == render_pgm(4, 5)
+
+
+def test_classification_grid_loads_numpy():
+    code = """
+import json, sys
+from nimtriples import classification_grid
+before = "numpy" in sys.modules
+grid = classification_grid(3, 5)
+print(json.dumps([before, "numpy" in sys.modules, type(grid).__name__, grid.shape]))
+"""
+    assert fresh(code) == [False, True, "ndarray", [8, 8]]
+
+
+def test_import_leaves_dataclasses_unloaded():
+    code = "import json, sys, nimtriples.cli; print(json.dumps('dataclasses' in sys.modules))"
+    assert fresh(code) is False
 
 
 def _runs_at_import(body):
@@ -95,19 +121,15 @@ def _runs_at_import(body):
 def _loads_numpy(node):
     if isinstance(node, ast.Import):
         return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
-    if isinstance(node, ast.ImportFrom):
-        if node.level == 0:
-            return node.module.split(".")[0] == "numpy"
-        if node.module is None:
-            return any(alias.name == "_kernel" for alias in node.names)
-        return node.module == "_kernel"
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return node.module.split(".")[0] == "numpy"
     return False
 
 
-def test_only_the_kernel_imports_numpy_at_module_level():
+def test_no_module_imports_numpy_at_module_level():
     importers = sorted(
         path.name
         for path in PACKAGE.glob("*.py")
         if any(_loads_numpy(node) for node in _runs_at_import(ast.parse(path.read_text()).body))
     )
-    assert importers == ["_kernel.py"]
+    assert importers == []
