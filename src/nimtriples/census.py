@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import time
 from typing import NamedTuple
 
 from . import _kernel
-from .limits import CapExceeded, census_max_k, shown
+from .limits import checked_width
+from .natural import require_natural
 
 __all__ = ["CensusReport", "census", "census_closed_form_check", "closed_form_counts"]
 
@@ -16,7 +16,6 @@ class _CensusFields(NamedTuple):
     flat: int
     tight: int
     loose: int
-    elapsed_ms: float
 
 
 class CensusReport(_CensusFields):
@@ -24,10 +23,10 @@ class CensusReport(_CensusFields):
 
     __slots__ = ()
 
-    def __new__(cls, k: int, flat: int, tight: int, loose: int, elapsed_ms: float):
+    def __new__(cls, k: int, flat: int, tight: int, loose: int):
         if flat + tight + loose != 8**k:
             raise ValueError("tallies must cover every triple in the cube")
-        return super().__new__(cls, k, flat, tight, loose, elapsed_ms)
+        return super().__new__(cls, k, flat, tight, loose)
 
     @classmethod
     def _make(cls, iterable) -> CensusReport:
@@ -42,25 +41,11 @@ class CensusReport(_CensusFields):
     def counts(self) -> tuple[int, int, int]:
         return (self.flat, self.tight, self.loose)
 
-    def to_line(self, *, timing: bool = False) -> str:
-        line = f"k={self.k} flat={self.flat} tight={self.tight} loose={self.loose}"
-        if timing:
-            line += f" ms={self.elapsed_ms:.1f}"
-        return line
+    def to_line(self) -> str:
+        return f"k={self.k} flat={self.flat} tight={self.tight} loose={self.loose}"
 
-    def as_dict(self, *, timing: bool = False) -> dict:
-        fields: dict = {"k": self.k, "flat": self.flat, "tight": self.tight, "loose": self.loose}
-        if timing:
-            fields["ms"] = round(self.elapsed_ms, 1)
-        return fields
-
-
-def _check_cap(k: int, max_k: int | None) -> None:
-    limit = census_max_k() if max_k is None else max_k
-    if k < 1:
-        raise ValueError(f"bit width must be >= 1, got {k}")
-    if k > limit:
-        raise CapExceeded(f"census k={shown(k)} exceeds cap {limit}")
+    def as_dict(self) -> dict:
+        return self._asdict()
 
 
 def census(k: int, *, max_k: int | None = None) -> CensusReport:
@@ -71,11 +56,8 @@ def census(k: int, *, max_k: int | None = None) -> CensusReport:
     the same widths as before; ``census_closed_form_check`` is the
     exhaustive route that these counts are checked against.
     """
-    _check_cap(k, max_k)
-    start = time.perf_counter()
-    flat, tight, loose = closed_form_counts(k)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return CensusReport(k, flat, tight, loose, elapsed_ms)
+    k = checked_width("census", k, max_k)
+    return CensusReport(k, *closed_form_counts(k))
 
 
 def closed_form_counts(k: int) -> tuple[int, int, int]:
@@ -91,6 +73,7 @@ def closed_form_counts(k: int) -> tuple[int, int, int]:
     = 4**(k-1) * (2**k - 1), and loose_j = 3 * tight_j.
     census_closed_form_check compares this with an exhaustive sweep.
     """
+    k = require_natural(k)
     if k < 1:
         raise ValueError(f"bit width must be >= 1, got {k}")
     flat = 4**k
@@ -104,5 +87,5 @@ def census_closed_form_check(k: int, *, max_k: int | None = None) -> bool:
     The sweep builds each a-slice with the kernel's byte grid and counts its
     bytes, under the same cap as ``census``.
     """
-    _check_cap(k, max_k)
+    k = checked_width("census", k, max_k)
     return _kernel.count(k) == closed_form_counts(k)

@@ -62,12 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("piles", type=parse_natural, nargs="+")
     p.add_argument("--all", action="store_true", help="list every winning move (3 piles only)")
 
-    p = sub.add_parser("census", help="exhaustive class tallies over [0, 2**k)^3")
+    p = sub.add_parser("census", help="class tallies over [0, 2**k)^3, counted per discriminant")
     p.add_argument("k", type=parse_natural)
     p.add_argument(
         "--check-closed-form", action="store_true", help="compare tallies with the closed forms"
     )
-    p.add_argument("--timing", action="store_true", help="append elapsed milliseconds")
 
     p = sub.add_parser("render", help="write the classification bitmap as binary PGM")
     p.add_argument("k", type=parse_natural)
@@ -186,8 +185,8 @@ def _run_move(args: argparse.Namespace) -> int:
 
 def _run_census(args: argparse.Namespace) -> int:
     report = census(args.k)
-    text = report.to_line(timing=args.timing)
-    payload = report.as_dict(timing=args.timing)
+    text = report.to_line()
+    payload = report.as_dict()
     code = 0
     if args.check_closed_form:
         verdict = "ok" if census_closed_form_check(args.k) else "mismatch"
@@ -249,7 +248,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+        return code
+    except OSError as exc:
+        # render reports its own file errors, so this one is from stdout.  A
+        # failed flush keeps its bytes buffered; point fd 1 at devnull so the
+        # flush at exit has somewhere quiet to put them.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

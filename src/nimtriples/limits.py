@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 
+from .natural import require_natural
+
 # The exclusion set holds up to a + b elements; beyond this the oracle refuses
 # and the caller should use the direct XOR instead.
 MEX_ENUMERATION_CAP = 1 << 20
@@ -14,7 +16,7 @@ TABLE_MAX_N = 1024
 DEFAULT_CENSUS_MAX_K = 7
 DEFAULT_RENDER_MAX_K = 12
 
-# Optional override for both bit-width caps below.  It must be an integer in
+# Optional override for both bit-width caps above.  It must be an integer in
 # 0..MAX_K_CEILING, a memory bound: at k=16 a render is already a 4 GiB grid.
 MAX_K_ENV = "NIM_TRIPLE_MAX_K"
 MAX_K_CEILING = 16
@@ -47,13 +49,25 @@ def _env_max_k() -> int | None:
     return value
 
 
-def census_max_k() -> int:
-    """Largest bit width the census accepts (env override wins)."""
-    override = _env_max_k()
-    return DEFAULT_CENSUS_MAX_K if override is None else override
+# The least bit width and the default cap of each width-checked operation.
+_WIDTHS = {"census": (1, DEFAULT_CENSUS_MAX_K), "render": (0, DEFAULT_RENDER_MAX_K)}
 
 
-def render_max_k() -> int:
-    """Largest bit width the renderer accepts (env override wins)."""
-    override = _env_max_k()
-    return DEFAULT_RENDER_MAX_K if override is None else override
+def checked_width(what: str, k: int, max_k: int | None) -> int:
+    """``k`` as a natural bit width from the least width up to the cap of ``what``.
+
+    ``what`` is ``"census"`` or ``"render"``.  The cap is ``max_k`` when given,
+    else the ``NIM_TRIPLE_MAX_K`` override, else the default of ``what``.
+    Raises ValueError for a non-natural ``k`` or one below the least width,
+    and CapExceeded for one above the cap.
+    """
+    least, default = _WIDTHS[what]
+    if max_k is None:
+        override = _env_max_k()
+        max_k = default if override is None else override
+    k = require_natural(k)
+    if k < least:
+        raise ValueError(f"bit width must be >= {least}, got {k}")
+    if k > max_k:
+        raise CapExceeded(f"{what} k={shown(k)} exceeds cap {max_k}")
+    return k

@@ -12,8 +12,6 @@ equations, which is why XOR is the smallest such binary operation.
 
 from __future__ import annotations
 
-import operator
-
 from .limits import MEX_ENUMERATION_CAP, TABLE_MAX_N, CapExceeded, shown
 from .natural import require_natural
 
@@ -75,7 +73,7 @@ def greedy_minimal_table(n: int) -> list[list[int]]:
     n * n cells of time and memory, so n above TABLE_MAX_N raises
     CapExceeded before anything is allocated.
     """
-    n = operator.index(n)
+    n = require_natural(n)
     if n < 1:
         raise ValueError(f"table size must be >= 1, got {n}")
     if n > TABLE_MAX_N:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from . import _kernel
-from .limits import CapExceeded, render_max_k, shown
+from .limits import checked_width
 from .natural import require_natural
 from .triangles import TriangleClass
 
@@ -28,13 +28,8 @@ GRAY_LEVELS = {
 
 def _pieces(k: int, fixed_c: int, max_k: int | None) -> list[bytes]:
     """The grid of (a, b, fixed_c) as ``_kernel.pieces``, once k and fixed_c pass their checks."""
-    limit = render_max_k() if max_k is None else max_k
-    if k < 0:
-        raise ValueError(f"bit width must be >= 0, got {k}")
-    if k > limit:
-        raise CapExceeded(f"render k={shown(k)} exceeds cap {limit}")
     return _kernel.pieces(
-        k,
+        checked_width("render", k, max_k),
         require_natural(fixed_c),
         GRAY_LEVELS[TriangleClass.FLAT],
         GRAY_LEVELS[TriangleClass.TIGHT],

@@ -93,20 +93,17 @@ def test_census_cap_env_override(monkeypatch):
 
 def test_report_to_line():
     report = census(1)
-    assert report.to_line(timing=False) == "k=1 flat=4 tight=1 loose=3"
-    timed = report.to_line(timing=True)
-    assert timed.startswith("k=1 flat=4 tight=1 loose=3 ms=")
+    assert report.to_line() == "k=1 flat=4 tight=1 loose=3"
 
 
 def test_report_as_dict():
-    payload = census(1).as_dict(timing=False)
+    payload = census(1).as_dict()
     assert payload == {"k": 1, "flat": 4, "tight": 1, "loose": 3}
-    assert "ms" in census(1).as_dict(timing=True)
 
 
 def test_report_rejects_bad_sum():
     with pytest.raises(ValueError):
-        CensusReport(k=1, flat=4, tight=1, loose=4, elapsed_ms=0.0)
+        CensusReport(k=1, flat=4, tight=1, loose=4)
     with pytest.raises(ValueError):
         census(1)._replace(loose=4)
 
@@ -118,3 +115,35 @@ def test_closed_form_is_the_sum_over_discriminants(k):
     flat = 4**k
     assert closed_form_counts(k) == (flat, tight, 3 * tight)
     assert flat + 4 * tight == 8**k
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_census_is_a_pure_value(k):
+    assert census(k) == census(k)
+    assert hash(census(k)) == hash(census(k))
+    assert CensusReport._fields == ("k", "flat", "tight", "loose")
+    assert census(k) == CensusReport(k, *closed_form_counts(k))
+
+
+def test_report_outputs_for_k2():
+    report = census(2)
+    assert report.to_line() == "k=2 flat=16 tight=12 loose=36"
+    assert list(report.as_dict().items()) == [("k", 2), ("flat", 16), ("tight", 12), ("loose", 36)]
+
+
+@pytest.mark.parametrize("k", [2.0, True, False, -1, "2", None])
+def test_widths_must_be_naturals(k):
+    for call in (census, census_closed_form_check, closed_form_counts):
+        with pytest.raises(ValueError):
+            call(k)
+
+
+def test_width_check_keeps_its_messages():
+    with pytest.raises(ValueError, match=r"^bit width must be >= 1, got 0$"):
+        census(0)
+    with pytest.raises(ValueError, match=r"^bit width must be >= 1, got 0$"):
+        census_closed_form_check(0)
+    with pytest.raises(CapExceeded, match=r"^census k=8 exceeds cap 7$"):
+        census(8)
+    with pytest.raises(CapExceeded, match=r"^census k=3 exceeds cap 2$"):
+        census_closed_form_check(3, max_k=2)

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +179,13 @@ def test_census_cap(capsys):
     assert "error:" in err
 
 
+def test_census_timing_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "3", "--timing"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_census_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("NIM_TRIPLE_MAX_K", "1")
     code, _, err = run(capsys, "census", "2")
@@ -285,6 +293,73 @@ def test_render_failed_write_leaves_existing_file_untouched(tmp_path):
     assert list(tmp_path.iterdir()) == [target]
 
 
+def _child(*argv, stdout, unbuffered=False, preexec_fn=None):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    # a buffered stdout keeps the bytes a failed flush could not write and
+    # flushes them again at exit; an unbuffered one fails at the first write
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "nimtriples", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        preexec_fn=preexec_fn,
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_exits_1_quietly(unbuffered):
+    # about 4 MB of table against a reader that stops after 10 bytes
+    proc = _child("table", "1024", stdout=subprocess.PIPE, unbuffered=unbuffered)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
+
+
+def _assert_one_error_line(proc, err):
+    assert proc.returncode == 1
+    assert err.startswith("error: cannot write stdout: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [("sum", "1", "2"), ("table", "64")])
+def test_read_only_stdout_exits_1_with_one_error_line(tmp_path, argv, unbuffered):
+    # every write to a stdout opened for reading fails with EBADF
+    (tmp_path / "out").write_text("")
+    with open(tmp_path / "out") as read_only:
+        proc = _child(*argv, stdout=read_only, unbuffered=unbuffered)
+        _, err = proc.communicate(timeout=60)
+    _assert_one_error_line(proc, err)
+    assert "Bad file descriptor" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_full_stdout_exits_1_with_one_error_line(unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _child("sum", "1", "2", stdout=full, unbuffered=unbuffered)
+        _, err = proc.communicate(timeout=60)
+    _assert_one_error_line(proc, err)
+
+
+def test_closed_stdout_fd_exits_0_quietly():
+    # started with fd 1 closed, the interpreter sets sys.stdout to None and
+    # print drops its line
+    proc = _child("sum", "1", "2", stdout=None, preexec_fn=lambda: os.close(1))
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, "")
+
+
 def test_render_replaces_existing_file(capsys, tmp_path):
     target = tmp_path / "grid.pgm"
     target.write_bytes(b"previous render")
@@ -347,3 +422,32 @@ def test_table_cap(capsys):
     code, out, err = run(capsys, "table", "1025")
     assert (code, out) == (3, "")
     assert err == "error: table n=1025 exceeds cap 1024\n"
+
+
+def _readme_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ nimtriples "):
+            examples.append((shlex.split(line, comments=True)[2:], []))
+        else:
+            examples[-1][1].append(line)
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_lists_every_command():
+    commands = {argv[0] for argv, _ in README_EXAMPLES}
+    assert commands == {"sum", "classify", "reorder", "mex", "table", "move", "census", "render"}
+
+
+@pytest.mark.parametrize(
+    "argv,expected", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+)
+def test_readme_example(capsys, monkeypatch, tmp_path, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out.splitlines(), err) == (0, expected, "")

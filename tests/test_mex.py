@@ -104,6 +104,12 @@ def test_greedy_table_rejects_empty():
         greedy_minimal_table(0)
 
 
+@pytest.mark.parametrize("n", [True, 2.0, -1, "2"])
+def test_greedy_table_size_must_be_natural(n):
+    with pytest.raises(ValueError):
+        greedy_minimal_table(n)
+
+
 @pytest.mark.parametrize(
     "n", [TABLE_MAX_N + 1, 1 << 62, 1 << 20000], ids=["cap+1", "2**62", "2**20000"]
 )

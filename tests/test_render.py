@@ -87,3 +87,19 @@ def test_grid_cap_env_override(monkeypatch):
     with pytest.raises(CapExceeded):
         classification_grid(3, 0)
     assert classification_grid(2, 0).shape == (4, 4)
+
+
+@pytest.mark.parametrize("k", [2.0, True, False, -1, "2", None])
+def test_render_widths_must_be_naturals(k):
+    for call in (classification_grid, render_pgm):
+        with pytest.raises(ValueError):
+            call(k, 0)
+
+
+def test_render_width_check_keeps_its_messages(monkeypatch):
+    with pytest.raises(CapExceeded, match=r"^render k=13 exceeds cap 12$"):
+        render_pgm(13, 0)
+    monkeypatch.setenv("NIM_TRIPLE_MAX_K", "2")
+    with pytest.raises(CapExceeded, match=r"^render k=3 exceeds cap 2$"):
+        classification_grid(3, 0)
+    assert render_pgm(3, 0, max_k=3).startswith(b"P5\n8 8\n")
