@@ -24,7 +24,15 @@ class Move(NamedTuple):
 
 
 def advise_move(piles: Sequence[int]) -> Move | None:
-    """First winning reduction, leftmost pile wins ties; None if the position is lost."""
+    """First winning reduction, leftmost pile wins ties; None if the position is lost.
+
+    Some pile always reduces when the Nim sum ``total`` is nonzero.  Let
+    j = msb(total).  Digit j of total is the XOR of the piles' digits at j
+    and is 1, so some pile has digit 1 there.  For that pile, size ^ total
+    keeps every digit of size above j (total has none there) and clears
+    digit j, so (size ^ total) < size: lowering the pile to size ^ total,
+    the Nim sum of the other piles, is legal and leaves Nim sum 0.
+    """
     sizes = [require_natural(p) for p in piles]
     if not sizes:
         raise ValueError("position needs at least one pile")
@@ -34,10 +42,11 @@ def advise_move(piles: Sequence[int]) -> Move | None:
     if total == 0:
         return None
     for i, size in enumerate(sizes):
-        target = total ^ size  # Nim sum of the other piles
+        target = size ^ total  # Nim sum of the other piles
         if target < size:
-            return Move(i, target)
-    raise AssertionError(f"nonzero total but no reducible pile in {sizes}")
+            break
+    # the loop stops at a pile that reduces, which exists as proved above
+    return Move(i, target)
 
 
 def winning_moves(piles: Sequence[int]) -> list[Move]:
@@ -52,7 +61,7 @@ def winning_moves(piles: Sequence[int]) -> list[Move]:
     total = sizes[0] ^ sizes[1] ^ sizes[2]
     moves = []
     for i, size in enumerate(sizes):
-        others = total ^ size
-        if size > others:
+        others = size ^ total
+        if others < size:
             moves.append(Move(i, others))
     return moves

@@ -26,8 +26,55 @@ from .triangles import classify_triangle, reorder_dominant
 __all__ = ["build_parser", "main"]
 
 
+# A usage error echoes at most this many characters of a rejected token.
+_TOKEN_SHOWN = 20
+
+
+def _token(text: str, show: Callable[[str], str] = repr) -> str:
+    """``show(text)``, or for a longer token its first characters and its length."""
+    if len(text) <= _TOKEN_SHOWN:
+        return show(text)
+    return f"{show(text[:_TOKEN_SHOWN])}…({len(text)} chars)"
+
+
+def _natural(text: str) -> int:
+    """``parse_natural`` for argparse, naming a rejected token in at most ``_token`` length."""
+    try:
+        return parse_natural(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid parse_natural value: {_token(text)}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors echo tokens through ``_token`` and whose help can fail.
+
+    argparse drops an OSError from writing help to stdout, so help to an
+    unbuffered stdout that fails would exit 0 with nothing written; here
+    it reaches ``main``, which reports it with exit 1.
+    """
+
+    def _print_message(self, message, file=None):
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {_token(value)} (choose from {choices})"
+            )
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(_token(t, str) for t in extras))
+        return args
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nimtriples",
         description="Nim addition, triangle classification, mex oracles, and greedy tables.",
     )
@@ -35,42 +82,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sum", help="Nim sum of two naturals")
-    p.add_argument("a", type=parse_natural)
-    p.add_argument("b", type=parse_natural)
+    p.add_argument("a", type=_natural)
+    p.add_argument("b", type=_natural)
 
     p = sub.add_parser("classify", help="class, statuses, and discriminant of a triangle")
-    p.add_argument("a", type=parse_natural)
-    p.add_argument("b", type=parse_natural)
-    p.add_argument("c", type=parse_natural)
+    p.add_argument("a", type=_natural)
+    p.add_argument("b", type=_natural)
+    p.add_argument("c", type=_natural)
 
     p = sub.add_parser("reorder", help="permute a triple so the first entry dominates")
-    p.add_argument("a", type=parse_natural)
-    p.add_argument("b", type=parse_natural)
-    p.add_argument("c", type=parse_natural)
+    p.add_argument("a", type=_natural)
+    p.add_argument("b", type=_natural)
+    p.add_argument("c", type=_natural)
 
     p = sub.add_parser("mex", help="Nim sum recomputed via the exclusion-set mex oracle")
-    p.add_argument("a", type=parse_natural)
-    p.add_argument("b", type=parse_natural)
+    p.add_argument("a", type=_natural)
+    p.add_argument("b", type=_natural)
 
     p = sub.add_parser("table", help="greedy minimal operation table")
-    p.add_argument("n", type=parse_natural)
+    p.add_argument("n", type=_natural)
     p.add_argument(
         "--verify", action="store_true", help="check the table against XOR instead of printing it"
     )
 
     p = sub.add_parser("move", help="winning-move advice for a Nim position")
-    p.add_argument("piles", type=parse_natural, nargs="+")
+    p.add_argument("piles", type=_natural, nargs="+")
     p.add_argument("--all", action="store_true", help="list every winning move (3 piles only)")
 
     p = sub.add_parser("census", help="class tallies over [0, 2**k)^3, counted per discriminant")
-    p.add_argument("k", type=parse_natural)
+    p.add_argument("k", type=_natural)
     p.add_argument(
         "--check-closed-form", action="store_true", help="compare tallies with the closed forms"
     )
 
     p = sub.add_parser("render", help="write the classification bitmap as binary PGM")
-    p.add_argument("k", type=parse_natural)
-    p.add_argument("c", type=parse_natural)
+    p.add_argument("k", type=_natural)
+    p.add_argument("c", type=_natural)
     p.add_argument("--out", required=True, help="output file path")
 
     return parser
@@ -246,12 +293,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
-        if sys.stdout is not None:  # None when the process started with fd 1 closed
-            sys.stdout.flush()
-        return code
+        try:
+            args = parser.parse_args(argv)  # help and usage errors leave by SystemExit
+            return _COMMANDS[args.command](args)
+        finally:
+            if sys.stdout is not None:  # None when the process started with fd 1 closed
+                sys.stdout.flush()
     except OSError as exc:
         # render reports its own file errors, so this one is from stdout.  A
         # failed flush keeps its bytes buffered; point fd 1 at devnull so the

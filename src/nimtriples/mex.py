@@ -45,6 +45,32 @@ def exclusion_set(a: int, b: int, *, cap: int = MEX_ENUMERATION_CAP) -> set[int]
     return {x ^ b for x in range(a)} | {a ^ y for y in range(b)}
 
 
+def _exclusion_marks(a: int, b: int) -> bytearray:
+    """Indicator bytes of exclusion_set(a, b) over range(a + b + 1), marked by aligned blocks.
+
+    Block lemma: XOR with b fixes the bits above i and permutes the bits
+    below i.  Take a set bit i of a and p = a >> (i + 1) << (i + 1), a with
+    bits i and below cleared.  The x in the run [p, p + 2**i) are exactly
+    the x < a whose highest bit differing from a is i; the runs over all
+    set bits i of a cover range(a) once each.  For x in one run, x ^ b has
+    the bits of p ^ b from i upward and takes every pattern below i once,
+    so the run maps onto the aligned block [q, q + 2**i) with
+    q = (p ^ b) >> i << i.  Hence {x ^ b : x < a} is the union of
+    popcount(a) aligned blocks, and {a ^ y : y < b} of popcount(b) with
+    the roles swapped.  Every member is below a + b (see mex_oracle), so
+    each slice assignment stays inside the a + b + 1 bytes and the fill
+    writes at most a + b of them.
+    """
+    present = bytearray(a + b + 1)
+    ones = memoryview(b"\x01" * max(a, b))  # the longest block is at most max(a, b)
+    for lowered, other in ((a, b), (b, a)):
+        for i in range(lowered.bit_length()):
+            if lowered >> i & 1:
+                start = ((lowered >> (i + 1) << (i + 1)) ^ other) >> i << i
+                present[start : start + (1 << i)] = ones[: 1 << i]
+    return present
+
+
 def mex_oracle(a: int, b: int, *, cap: int = MEX_ENUMERATION_CAP) -> int:
     """Smallest natural outside exclusion_set(a, b).
 
@@ -53,14 +79,11 @@ def mex_oracle(a: int, b: int, *, cap: int = MEX_ENUMERATION_CAP) -> int:
     marks the set's members in a bytearray without building the set: every
     x ^ b with x < a is at most x + b < a + b, and likewise every a ^ y with
     y < b, so a + b + 1 flags hold every member and at least one clear flag.
+    The members are marked by the aligned blocks of _exclusion_marks, a
+    fact about XOR as a bijection only, never the claim mex == XOR itself.
     """
     a, b = _checked_operands(a, b, cap)
-    present = bytearray(a + b + 1)
-    for x in range(a):
-        present[x ^ b] = 1
-    for y in range(b):
-        present[a ^ y] = 1
-    return present.index(0)
+    return _exclusion_marks(a, b).index(0)
 
 
 def greedy_minimal_table(n: int) -> list[list[int]]:
@@ -69,9 +92,10 @@ def greedy_minimal_table(n: int) -> list[list[int]]:
     A value is legal when it does not already appear in the current row or
     the current column, so the filled prefix is repetition-free in every row
     and column at all times.  Greedy choice per cell: the lowest clear bit
-    of the union of the row and column occupancy masks.  The fill costs
-    n * n cells of time and memory, so n above TABLE_MAX_N raises
-    CapExceeded before anything is allocated.
+    of the union of the row and column occupancy masks; used ^ (used + 1)
+    is that bit and the set bits below it, so its bit length less one is
+    the bit's position.  The fill costs n * n cells of time and memory, so
+    n above TABLE_MAX_N raises CapExceeded before anything is allocated.
     """
     n = require_natural(n)
     if n < 1:
@@ -85,7 +109,7 @@ def greedy_minimal_table(n: int) -> list[list[int]]:
         row: list[int] = []
         for b in range(n):
             used = row_used | col_used[b]
-            value = (~used & (used + 1)).bit_length() - 1
+            value = (used ^ (used + 1)).bit_length() - 1
             row.append(value)
             taken = 1 << value
             row_used |= taken

@@ -63,13 +63,9 @@ def nim_sum(a: int, b: int) -> int:
 def bit(a: int, i: int) -> int:
     """Digit i of a's binary expansion, least significant first.
 
-    Defined for every i >= 0; positions beyond the top set bit are 0.
+    Defined for every natural i; positions beyond the top set bit are 0.
     """
-    a = require_natural(a)
-    i = operator.index(i)
-    if i < 0:
-        raise ValueError(f"bit index must be >= 0, got {i}")
-    return (a >> i) & 1
+    return (require_natural(a) >> require_natural(i)) & 1
 
 
 def compare(a: int, b: int) -> int:

@@ -128,10 +128,11 @@ def case_table_lookup(bit_a: int, bit_b: int, bit_c: int) -> Statuses | None:
     """Statuses forced by the three digits at the discriminant position.
 
     Returns None for the contradiction rows, i.e. whenever
-    ``bit_a == bit_b XOR bit_c``.
+    ``bit_a == bit_b XOR bit_c``.  Each digit must be the int 0 or 1;
+    ``True`` and ``1.0`` are refused like any other non-natural.
     """
     key = (bit_a, bit_b, bit_c)
-    if any(d not in (0, 1) for d in key):
+    if any(type(d) is not int or d not in (0, 1) for d in key):
         raise ValueError(f"binary digits required, got {key}")
     return CASE_TABLE[key]
 

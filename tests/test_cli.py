@@ -246,6 +246,25 @@ def test_number_outside_the_grammar_is_usage_error(capsys, text):
     assert exc.value.code == 2
 
 
+LONG_TOKEN = "9" * 4999 + "x"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sum", LONG_TOKEN, "1"], [LONG_TOKEN], ["sum", "1", "2", LONG_TOKEN]],
+    ids=["operand", "command", "extra"],
+)
+def test_rejected_long_token_is_echoed_short(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert len(err.encode()) < 1000
+    assert "99999999999999999999" in err
+    assert "999999999999999999999" not in err
+    assert "…(5000 chars)" in err
+
+
 @pytest.mark.parametrize("raw", ["-1", "17", "banana"])
 def test_max_k_env_out_of_range_is_usage_error(capsys, monkeypatch, raw):
     monkeypatch.setenv("NIM_TRIPLE_MAX_K", raw)
@@ -341,6 +360,27 @@ def test_read_only_stdout_exits_1_with_one_error_line(tmp_path, argv, unbuffered
         _, err = proc.communicate(timeout=60)
     _assert_one_error_line(proc, err)
     assert "Bad file descriptor" in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv,code",
+    [(("-h",), 1), (("sum", "-h"), 1), (("sum", "1", "frog"), 2)],
+    ids=["help", "command-help", "usage-error"],
+)
+def test_help_and_usage_to_a_read_only_stdout(tmp_path, argv, code, unbuffered):
+    # help fails on stdout and exits 1; a usage error writes only to stderr
+    (tmp_path / "out").write_text("")
+    with open(tmp_path / "out") as read_only:
+        proc = _child(*argv, stdout=read_only, unbuffered=unbuffered)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == code
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+    if code == 1:
+        _assert_one_error_line(proc, err)
+    else:
+        assert "invalid parse_natural value: 'frog'" in err
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

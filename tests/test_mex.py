@@ -16,6 +16,7 @@ from nimtriples import (
     verify_table_equals_xor,
 )
 from nimtriples.limits import TABLE_MAX_N
+from nimtriples.mex import _exclusion_marks
 
 small = st.integers(min_value=0, max_value=400)
 
@@ -65,6 +66,15 @@ def test_mex_oracle_matches_nim_sum_small_grid():
 @pytest.mark.parametrize("a", [0, 3, MEX_ENUMERATION_CAP // 2 - 1, MEX_ENUMERATION_CAP])
 def test_mex_oracle_at_the_cap(a):
     b = MEX_ENUMERATION_CAP - a
+    assert mex_oracle(a, b) == a ^ b
+
+
+@given(st.integers(min_value=0, max_value=4096), st.integers(min_value=0, max_value=4096))
+def test_block_marks_are_the_exclusion_set(a, b):
+    marks = _exclusion_marks(a, b)
+    excluded = exclusion_set(a, b)
+    assert len(marks) == a + b + 1
+    assert marks == bytes(v in excluded for v in range(a + b + 1))
     assert mex_oracle(a, b) == a ^ b
 
 

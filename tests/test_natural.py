@@ -89,6 +89,12 @@ def test_bit_rejects_negative_index():
         bit(5, -1)
 
 
+@pytest.mark.parametrize("index", [True, 2.0, "2", None])
+def test_bit_index_must_be_natural(index):
+    with pytest.raises(ValueError):
+        bit(5, index)
+
+
 def test_compare_examples():
     assert compare(5, 3) == 1
     assert compare(3, 3) == 0

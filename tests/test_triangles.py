@@ -106,6 +106,10 @@ def test_case_table_rejects_non_digits():
         case_table_lookup(2, 0, 0)
     with pytest.raises(ValueError):
         case_table_lookup(0, -1, 0)
+    # digits are the ints 0 and 1 only, not bools, floats or strings
+    for digits in [(True, 0, 0), (1, False, 0), (1, 0, 1.0), (0.0, 0, 1), (0, "1", 0)]:
+        with pytest.raises(ValueError):
+            case_table_lookup(*digits)
 
 
 @given(wide, wide)
