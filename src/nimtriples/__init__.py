@@ -4,8 +4,9 @@ The package covers four connected pieces: carry-free binary addition with
 digit access, the large/aligned/small classification of number triples with
 its flat/tight/loose taxonomy, the exclusion-set mex characterization of the
 Nim sum together with the greedy minimal operation table, and a winning-move
-advisor plus exhaustive census built on top.  Every claim is small enough to
-verify by full enumeration, and the test suite does.
+advisor plus a class census built on top, counted per discriminant and
+checked by an exhaustive sweep.  Every claim is small enough to verify by
+full enumeration, and the test suite does.
 """
 
 from .advisor import Move, advise_move, winning_moves

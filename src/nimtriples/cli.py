@@ -4,6 +4,8 @@ Numbers are accepted in decimal, 0x hex, or 0b binary.  Text output is a
 pure function of argv; ``--json`` emits the same fields as one JSON object.
 Exit codes: 0 success, 1 failed verification or write error, 2 usage error,
 3 cap exceeded: an enumeration cap, or an integer too long to print in decimal.
+Each command returns its payload, text and exit code; ``main`` parses,
+computes, formats and writes, and a stderr that fails changes no exit code.
 """
 
 from __future__ import annotations
@@ -134,33 +136,21 @@ def _integers(value) -> Iterator[int]:
         yield value
 
 
-def _emit(args: argparse.Namespace, payload: dict, text: Callable[[], str]) -> None:
-    """Print ``payload`` as JSON under ``--json``, else the line ``text()``.
-
-    Every integer ``text()`` prints is also in ``payload``.  One with more
-    decimal digits than the interpreter converts (``sys.get_int_max_str_digits``)
-    is refused as a cap, exit 3, before anything is printed.
-    """
-    try:
-        line = json.dumps(payload) if args.json else text()
-    except ValueError:
-        widest = max(_integers(payload), default=0)
-        limit = sys.get_int_max_str_digits()
-        if not limit or widest < 10**limit:
-            raise
-        raise CapExceeded(
-            f"result of {widest.bit_length()} bits exceeds the {limit}-digit decimal output limit"
-        ) from None
-    print(line)
+# A command's JSON payload, its text (built only in ``_format``, whose wide-output
+# check catches a failed decimal conversion) and its exit code.
+_Result = tuple[dict, Callable[[], str], int]
 
 
-def _run_sum(args: argparse.Namespace) -> int:
+class _FileUnwritable(Exception):
+    """``render`` could not write its output file; ``main`` reports it with exit 1."""
+
+
+def _run_sum(args: argparse.Namespace) -> _Result:
     value = nim_sum(args.a, args.b)
-    _emit(args, {"value": value}, lambda: str(value))
-    return 0
+    return {"value": value}, lambda: str(value), 0
 
 
-def _run_classify(args: argparse.Namespace) -> int:
+def _run_classify(args: argparse.Namespace) -> _Result:
     result = classify_triangle(args.a, args.b, args.c)
     parts = [result.kind.value]
     payload: dict = {"class": result.kind.value}
@@ -170,67 +160,48 @@ def _run_classify(args: argparse.Namespace) -> int:
     for name, status in zip("abc", result.statuses):
         parts.append(f"{name}:{status.value}")
         payload[name] = status.value
-    _emit(args, payload, lambda: " ".join(parts))
-    return 0
+    return payload, lambda: " ".join(parts), 0
 
 
-def _run_reorder(args: argparse.Namespace) -> int:
+def _run_reorder(args: argparse.Namespace) -> _Result:
     triple, perm = reorder_dominant(args.a, args.b, args.c)
-    _emit(
-        args,
-        {"triple": list(triple), "perm": list(perm)},
-        lambda: f"{triple[0]} {triple[1]} {triple[2]} perm={perm[0]},{perm[1]},{perm[2]}",
-    )
-    return 0
+    payload = {"triple": list(triple), "perm": list(perm)}
+    return payload, lambda: "{} {} {} perm={},{},{}".format(*triple, *perm), 0
 
 
-def _run_mex(args: argparse.Namespace) -> int:
+def _run_mex(args: argparse.Namespace) -> _Result:
     value = mex_oracle(args.a, args.b)
-    _emit(args, {"value": value}, lambda: str(value))
-    return 0
+    return {"value": value}, lambda: str(value), 0
 
 
-def _run_table(args: argparse.Namespace) -> int:
+def _run_table(args: argparse.Namespace) -> _Result:
     rows = greedy_minimal_table(args.n)
-    if args.verify:
-        ok, mismatch = verify_table_equals_xor(rows)
-        if ok:
-            _emit(args, {"n": args.n, "xor": "ok"}, lambda: f"n={args.n} xor=ok")
-            return 0
-        a, b = mismatch
-        _emit(
-            args,
-            {"n": args.n, "xor": "mismatch", "at": [a, b]},
-            lambda: f"n={args.n} xor=mismatch at={a},{b}",
-        )
-        return 1
-    _emit(args, {"n": args.n, "rows": rows}, lambda: table_to_text(rows))
-    return 0
+    if not args.verify:
+        return {"n": args.n, "rows": rows}, lambda: table_to_text(rows), 0
+    ok, mismatch = verify_table_equals_xor(rows)
+    payload = {"n": args.n, "xor": "ok" if ok else "mismatch"}
+    text = f"n={args.n} xor={payload['xor']}"
+    if not ok:
+        payload["at"] = list(mismatch)
+        text += " at={},{}".format(*mismatch)
+    return payload, lambda: text, int(not ok)
 
 
-def _run_move(args: argparse.Namespace) -> int:
+def _run_move(args: argparse.Namespace) -> _Result:
     if args.all:
         moves = winning_moves(args.piles)
-        _emit(
-            args,
-            {"moves": [{"pile": m.pile, "new": m.new_size} for m in moves]},
-            lambda: "\n".join(f"winning pile={m.pile} new={m.new_size}" for m in moves)
-            or "no-winning-move",
-        )
-        return 0
-    advice = advise_move(args.piles)
-    if advice is None:
-        _emit(args, {"winning": False}, lambda: "no-winning-move")
+        payload = {"moves": [{"pile": m.pile, "new": m.new_size} for m in moves]}
     else:
-        _emit(
-            args,
-            {"winning": True, "pile": advice.pile, "new": advice.new_size},
-            lambda: f"winning pile={advice.pile} new={advice.new_size}",
-        )
-    return 0
+        advice = advise_move(args.piles)
+        moves = [] if advice is None else [advice]
+        payload = {"winning": bool(moves)}
+        if moves:
+            payload.update(pile=advice.pile, new=advice.new_size)
+    line = "winning pile={} new={}".format
+    return payload, lambda: "\n".join(line(*m) for m in moves) or "no-winning-move", 0
 
 
-def _run_census(args: argparse.Namespace) -> int:
+def _run_census(args: argparse.Namespace) -> _Result:
     report = census(args.k)
     text = report.to_line()
     payload = report.as_dict()
@@ -239,10 +210,8 @@ def _run_census(args: argparse.Namespace) -> int:
         verdict = "ok" if census_closed_form_check(args.k) else "mismatch"
         text += f" closed-form={verdict}"
         payload["closed_form"] = verdict
-        if verdict != "ok":
-            code = 1
-    _emit(args, payload, lambda: text)
-    return code
+        code = int(verdict != "ok")
+    return payload, lambda: text, code
 
 
 def _write_replacing(path: str, data: bytes) -> None:
@@ -263,23 +232,18 @@ def _write_replacing(path: str, data: bytes) -> None:
         raise
 
 
-def _run_render(args: argparse.Namespace) -> int:
+def _run_render(args: argparse.Namespace) -> _Result:
     data = render_pgm(args.k, args.c)
     try:
         _write_replacing(args.out, data)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+        raise _FileUnwritable(f"cannot write {args.out}: {exc}") from None
     n = 1 << args.k
-    _emit(
-        args,
-        {"out": args.out, "width": n, "height": n},
-        lambda: f"out={args.out} width={n} height={n}",
-    )
-    return 0
+    payload = {"out": args.out, "width": n, "height": n}
+    return payload, lambda: f"out={args.out} width={n} height={n}", 0
 
 
-_COMMANDS = {
+_COMMANDS: dict[str, Callable[[argparse.Namespace], _Result]] = {
     "sum": _run_sum,
     "classify": _run_classify,
     "reorder": _run_reorder,
@@ -291,30 +255,67 @@ _COMMANDS = {
 }
 
 
+def _format(payload: dict, text: Callable[[], str], as_json: bool) -> str:
+    """``payload`` as JSON under ``--json``, else the line ``text()``.
+
+    Every integer ``text()`` prints is also in ``payload``.  One with more
+    decimal digits than the interpreter converts (``sys.get_int_max_str_digits``)
+    is refused as a cap, exit 3, before anything is printed.
+    """
+    try:
+        return json.dumps(payload) if as_json else text()
+    except ValueError:
+        widest = max(_integers(payload), default=0)
+        limit = sys.get_int_max_str_digits()
+        if not limit or widest < 10**limit:
+            raise
+        raise CapExceeded(
+            f"result of {widest.bit_length()} bits exceeds the {limit}-digit decimal output limit"
+        ) from None
+
+
+def _to_devnull(stream) -> None:
+    """Point ``stream``'s fd at devnull, where the flush at exit puts what a failed write kept."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _error(message: str) -> None:
+    """Write ``error: message`` to stderr, or nowhere if it fails: the exit code must not change."""
+    if sys.stderr is None:  # fd 2 closed at start-up; print would fall back to stdout
+        return
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         try:
             args = parser.parse_args(argv)  # help and usage errors leave by SystemExit
-            return _COMMANDS[args.command](args)
+            payload, text, code = _COMMANDS[args.command](args)
+            print(_format(payload, text, args.json))
+            return code
         finally:
             if sys.stdout is not None:  # None when the process started with fd 1 closed
                 sys.stdout.flush()
+    except _FileUnwritable as exc:
+        _error(str(exc))
+        return 1
     except OSError as exc:
-        # render reports its own file errors, so this one is from stdout.  A
-        # failed flush keeps its bytes buffered; point fd 1 at devnull so the
-        # flush at exit has somewhere quiet to put them.
+        # a failed write to stdout; a reader that closed the pipe early gets no line
         if not isinstance(exc, BrokenPipeError):
-            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+            _error(f"cannot write stdout: {exc}")
+        _to_devnull(sys.stdout)
         return 1
     except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 3
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
 
 

@@ -40,10 +40,14 @@ def _pieces(k: int, fixed_c: int, max_k: int | None) -> list[bytes]:
 def classification_grid(k: int, fixed_c: int, *, max_k: int | None = None) -> np.ndarray:
     """Gray value per pixel for all triangles (a, b, fixed_c) with a, b < 2**k.
 
-    A writable (2**k, 2**k) uint8 array; this is the one call that loads numpy.
+    A writable (2**k, 2**k) uint8 array; this is the one call that loads numpy,
+    and without numpy it raises ImportError naming the ``grid`` extra.
     """
     cells = bytearray().join(_pieces(k, fixed_c, max_k))
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError as exc:
+        raise ImportError("classification_grid needs numpy: install 'nimtriples[grid]'") from exc
 
     n = 1 << k
     return np.frombuffer(cells, np.uint8).reshape(n, n)

@@ -312,7 +312,7 @@ def test_render_failed_write_leaves_existing_file_untouched(tmp_path):
     assert list(tmp_path.iterdir()) == [target]
 
 
-def _child(*argv, stdout, unbuffered=False, preexec_fn=None):
+def _child(*argv, stdout, stderr=subprocess.PIPE, unbuffered=False, preexec_fn=None, cwd=None):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
@@ -324,10 +324,11 @@ def _child(*argv, stdout, unbuffered=False, preexec_fn=None):
     return subprocess.Popen(
         [sys.executable, "-m", "nimtriples", *argv],
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         text=True,
         env=env,
         preexec_fn=preexec_fn,
+        cwd=cwd,
     )
 
 
@@ -398,6 +399,64 @@ def test_closed_stdout_fd_exits_0_quietly():
     proc = _child("sum", "1", "2", stdout=None, preexec_fn=lambda: os.close(1))
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("stderr", ["read-only", "closed"])
+@pytest.mark.parametrize(
+    "argv,code,out",
+    [
+        (("table", "1025"), 3, ""),
+        (("mex", "0x100000", "1"), 3, ""),
+        (("census", "0"), 2, ""),
+        (("render", "2", "0", "--out", "missing/x.pgm"), 1, ""),
+        (("sum", "1", "2"), 0, "3\n"),
+    ],
+    ids=["table-cap", "mex-cap", "census-zero", "render-unwritable", "sum"],
+)
+def test_unwritable_stderr_keeps_the_exit_code(tmp_path, argv, code, out, stderr, unbuffered):
+    # a read-only stderr fails every write with EBADF, and a buffered one
+    # would fail again in the flush at exit; with fd 2 closed at start-up
+    # sys.stderr is None, and the error line must not fall back to stdout
+    (tmp_path / "err").write_text("")
+    with open(tmp_path / "err") as read_only:
+        proc = _child(
+            *argv,
+            stdout=subprocess.PIPE,
+            stderr=read_only if stderr == "read-only" else None,
+            unbuffered=unbuffered,
+            preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None,
+            cwd=tmp_path,
+        )
+        stdout, _ = proc.communicate(timeout=60)
+    assert (proc.returncode, stdout) == (code, out)
+    assert (tmp_path / "err").read_text() == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["err"]
+
+
+@pytest.mark.parametrize(
+    "argv,text,payload",
+    [
+        (
+            ["table", "8", "--verify"],
+            "n=8 xor=mismatch at=2,3",
+            {"n": 8, "xor": "mismatch", "at": [2, 3]},
+        ),
+        (
+            ["census", "2", "--check-closed-form"],
+            "k=2 flat=16 tight=12 loose=36 closed-form=mismatch",
+            {"k": 2, "flat": 16, "tight": 12, "loose": 36, "closed_form": "mismatch"},
+        ),
+    ],
+    ids=["table", "census"],
+)
+def test_failed_check_prints_its_verdict_and_exits_1(capsys, monkeypatch, argv, text, payload):
+    # neither check can fail on correct code, so both are made to fail here
+    monkeypatch.setattr("nimtriples.cli.verify_table_equals_xor", lambda rows: (False, (2, 3)))
+    monkeypatch.setattr("nimtriples.cli.census_closed_form_check", lambda k: False)
+    assert run(capsys, *argv) == (1, text + "\n", "")
+    code, out, err = run(capsys, "--json", *argv)
+    assert (code, json.loads(out), err) == (1, payload, "")
 
 
 def test_render_replaces_existing_file(capsys, tmp_path):

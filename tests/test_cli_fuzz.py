@@ -1,5 +1,8 @@
 """Argv fuzzing of the command line: every argv ends in exit 0, 1, 2 or 3.
 
+A usage error or a cap (exit 2 or 3) leaves stdout empty; a cap writes
+exactly one ``error:`` line to stderr.
+
 Tokens come from the eight command names, the real flags, the removed
 ``--timing``, numbers in every accepted spelling (negative, past 64 bits and
 past the interpreter's decimal digit limit too) and junk.  Widths are capped
@@ -91,3 +94,8 @@ def test_every_argv_exits_0_to_3(workdir, argv):
         os.chdir(here)
     assert code in {0, 1, 2, 3}, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code in {2, 3}:
+        assert out.getvalue() == "" and err.getvalue(), (argv, code)
+    if code == 3:
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())

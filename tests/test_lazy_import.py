@@ -1,5 +1,7 @@
 """numpy loads only inside classification_grid(), which returns an ndarray.
 
+Without numpy, which the ``grid`` extra installs, everything else still runs.
+
 The kernel builds grids in plain bytes, so every command starts and runs
 without numpy, and ``import nimtriples`` leaves ``dataclasses`` unloaded.
 
@@ -95,6 +97,68 @@ grid = classification_grid(3, 5)
 print(json.dumps([before, "numpy" in sys.modules, type(grid).__name__, grid.shape]))
 """
     assert fresh(code) == [False, True, "ndarray", [8, 8]]
+
+
+# Every public function and all eight commands, run in a child that may
+# block numpy; it prints what it called, what they gave, and the grid error.
+_PUBLIC_CALLS = """
+import contextlib, io, json, sys, types
+import nimtriples as nt
+from nimtriples.cli import main
+calls = dict(
+    advise_move=lambda: nt.advise_move([5, 1, 2]),
+    bit=lambda: nt.bit(5, 2),
+    case_table_lookup=lambda: nt.case_table_lookup(1, 0, 0),
+    census=lambda: nt.census(3),
+    census_closed_form_check=lambda: nt.census_closed_form_check(3),
+    classify_triangle=lambda: nt.classify_triangle(5, 1, 2),
+    classify_vertex=lambda: nt.classify_vertex(5, 1, 2),
+    closed_form_counts=lambda: nt.closed_form_counts(3),
+    compare=lambda: nt.compare(5, 3),
+    discriminant_index=lambda: nt.discriminant_index(5, 1, 2),
+    exclusion_set=lambda: sorted(nt.exclusion_set(2, 3)),
+    greedy_minimal_table=lambda: nt.greedy_minimal_table(4),
+    mex_oracle=lambda: nt.mex_oracle(2, 3),
+    nim_sum=lambda: nt.nim_sum(5, 3),
+    parse_natural=lambda: nt.parse_natural("0x1f"),
+    render_pgm=lambda: nt.render_pgm(2, 5),
+    reorder_dominant=lambda: nt.reorder_dominant(1, 2, 7),
+    require_natural=lambda: nt.require_natural(7),
+    table_to_text=lambda: nt.table_to_text([[0, 1], [1, 0]]),
+    verify_table_equals_xor=lambda: nt.verify_table_equals_xor([[0, 1], [1, 0]]),
+    winning_moves=lambda: nt.winning_moves([2, 2, 3]),
+)
+public = [n for n in nt.__all__ if isinstance(getattr(nt, n), types.FunctionType)]
+values = {name: repr(call()) for name, call in calls.items()}
+commands = []
+for argv in (["sum", "5", "3"], ["classify", "5", "1", "2"], ["reorder", "1", "2", "7"],
+             ["mex", "2", "3"], ["table", "4", "--verify"], ["move", "2", "2", "3", "--all"],
+             ["census", "3", "--check-closed-form"], ["render", "3", "5", "--out", "r.pgm"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        commands.append([main(argv), out.getvalue()])
+try:
+    nt.classification_grid(3, 5)
+    grid_error = None
+except ImportError as exc:
+    grid_error = str(exc)
+print(json.dumps([sorted(public), sorted(calls), values, commands, grid_error]))
+"""
+
+
+def test_everything_but_classification_grid_runs_without_numpy(tmp_path):
+    blocked, loaded = tmp_path / "blocked", tmp_path / "loaded"
+    blocked.mkdir()
+    loaded.mkdir()
+    public, called, values, commands, grid_error = fresh(
+        'import sys; sys.modules["numpy"] = None' + _PUBLIC_CALLS, cwd=blocked
+    )
+    assert sorted(set(public) - {"classification_grid"}) == called
+    assert [code for code, _ in commands] == [0] * 8
+    assert "nimtriples[grid]" in grid_error
+    with_numpy = fresh(_PUBLIC_CALLS, cwd=loaded)
+    assert with_numpy[2:] == [values, commands, None]
+    assert (blocked / "r.pgm").read_bytes() == (loaded / "r.pgm").read_bytes()
 
 
 def test_import_leaves_dataclasses_unloaded():
