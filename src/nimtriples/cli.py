@@ -47,19 +47,46 @@ def _natural(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid parse_natural value: {_token(text)}") from None
 
 
+def _to_devnull(stream) -> None:
+    """Point ``stream``'s fd at devnull, where the flush at exit puts what a failed write kept."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _to_stderr(text: str) -> None:
+    """Write ``text`` to stderr, or nowhere if it fails: the exit code must not change."""
+    if sys.stderr is None:  # fd 2 closed at start-up; never fall back to stdout
+        return
+    try:
+        sys.stderr.write(text)  # stderr is line-buffered, so a failed write raises here
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
+def _error(message: str) -> None:
+    _to_stderr(f"error: {message}\n")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse whose usage errors echo tokens through ``_token`` and whose help can fail.
 
     argparse drops an OSError from writing help to stdout, so help to an
     unbuffered stdout that fails would exit 0 with nothing written; here
-    it reaches ``main``, which reports it with exit 1.
+    it reaches ``main``, which reports it with exit 1.  Usage errors go
+    through ``_to_stderr``: argparse would leave a failed write's bytes for
+    the flush at exit (exit 120), and print its usage line to stdout when
+    ``sys.stderr`` is None.
     """
 
     def _print_message(self, message, file=None):
         if message and file is not None and file is sys.stdout:
             file.write(message)
-        else:
-            super()._print_message(message, file)
+        elif message:
+            _to_stderr(message)
+
+    def error(self, message):
+        self.exit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:
@@ -272,23 +299,6 @@ def _format(payload: dict, text: Callable[[], str], as_json: bool) -> str:
         raise CapExceeded(
             f"result of {widest.bit_length()} bits exceeds the {limit}-digit decimal output limit"
         ) from None
-
-
-def _to_devnull(stream) -> None:
-    """Point ``stream``'s fd at devnull, where the flush at exit puts what a failed write kept."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, stream.fileno())
-    os.close(devnull)
-
-
-def _error(message: str) -> None:
-    """Write ``error: message`` to stderr, or nowhere if it fails: the exit code must not change."""
-    if sys.stderr is None:  # fd 2 closed at start-up; print would fall back to stdout
-        return
-    try:
-        print(f"error: {message}", file=sys.stderr)
-    except OSError:
-        _to_devnull(sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

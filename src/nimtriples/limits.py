@@ -10,7 +10,8 @@ from .natural import require_natural
 # and the caller should use the direct XOR instead.
 MEX_ENUMERATION_CAP = 1 << 20
 
-# The greedy table fills n * n cells in Python; n = 1024 takes about 0.6 s.
+# The greedy table fills n * (n + 1) / 2 cells in Python and mirrors the rest;
+# n = 1024 takes about 0.35 s on a 2-vCPU VM.
 TABLE_MAX_N = 1024
 
 DEFAULT_CENSUS_MAX_K = 7

@@ -411,13 +411,15 @@ def test_closed_stdout_fd_exits_0_quietly():
         (("census", "0"), 2, ""),
         (("render", "2", "0", "--out", "missing/x.pgm"), 1, ""),
         (("sum", "1", "2"), 0, "3\n"),
+        (("sum", "1", "frog"), 2, ""),
     ],
-    ids=["table-cap", "mex-cap", "census-zero", "render-unwritable", "sum"],
+    ids=["table-cap", "mex-cap", "census-zero", "render-unwritable", "sum", "usage-error"],
 )
 def test_unwritable_stderr_keeps_the_exit_code(tmp_path, argv, code, out, stderr, unbuffered):
     # a read-only stderr fails every write with EBADF, and a buffered one
     # would fail again in the flush at exit; with fd 2 closed at start-up
-    # sys.stderr is None, and the error line must not fall back to stdout
+    # sys.stderr is None, and neither an error line nor a usage line may
+    # fall back to stdout
     (tmp_path / "err").write_text("")
     with open(tmp_path / "err") as read_only:
         proc = _child(
@@ -432,6 +434,15 @@ def test_unwritable_stderr_keeps_the_exit_code(tmp_path, argv, code, out, stderr
     assert (proc.returncode, stdout) == (code, out)
     assert (tmp_path / "err").read_text() == ""
     assert sorted(path.name for path in tmp_path.iterdir()) == ["err"]
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("sum", "-h")], ids=["help", "command-help"])
+def test_help_with_fd_2_closed_goes_to_stdout(argv):
+    expected, _ = _child(*argv, stdout=subprocess.PIPE).communicate(timeout=60)
+    assert expected.startswith("usage: nimtriples")
+    proc = _child(*argv, stdout=subprocess.PIPE, stderr=None, preexec_fn=lambda: os.close(2))
+    out, _ = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (0, expected)
 
 
 @pytest.mark.parametrize(

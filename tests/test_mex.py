@@ -1,6 +1,3 @@
-import random
-from itertools import product
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -139,17 +136,39 @@ def test_greedy_table_rows_and_columns_repetition_free(n):
 
 
 def test_greedy_entries_are_minimal():
-    # lowering any filled entry must collide with its row prefix or column above
-    n = 32
+    # every entry is the mex of its row prefix and the column above it:
+    # each smaller value collides there and the entry itself does not
+    n = 48
     rows = greedy_minimal_table(n)
-    rng = random.Random(1729)
-    for _ in range(200):
-        a = rng.randrange(n)
-        b = rng.randrange(n)
-        entry = rows[a][b]
-        prefix = set(rows[a][:b]) | {rows[r][b] for r in range(a)}
-        for smaller in range(entry):
-            assert smaller in prefix
+    for a in range(n):
+        for b in range(n):
+            entry = rows[a][b]
+            prefix = set(rows[a][:b]) | {rows[r][b] for r in range(a)}
+            assert entry not in prefix
+            assert prefix.issuperset(range(entry))
+
+
+def _row_major_fill(n):
+    """Every cell computed row-major, without the symmetry: the reference fill."""
+    col_used = [0] * n
+    rows = []
+    for _ in range(n):
+        row_used = 0
+        row = []
+        for b in range(n):
+            used = row_used | col_used[b]
+            value = (used ^ (used + 1)).bit_length() - 1
+            row.append(value)
+            taken = 1 << value
+            row_used |= taken
+            col_used[b] |= taken
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 100, 257, 512])
+def test_symmetric_fill_matches_the_row_major_fill(n):
+    assert greedy_minimal_table(n) == _row_major_fill(n)
 
 
 def test_verify_table_equals_xor():
