@@ -10,7 +10,10 @@ for entry.  Repetition-free rows and columns are unique solvability of
 equations, which is why XOR is the smallest such binary operation.  The
 greedy table is symmetric by its own recurrence, so the fill computes the
 upper triangle and mirrors it; the greedy route still checks the XOR
-theorem, because verify_table_equals_xor compares all n * n cells.
+theorem, because verify_table_equals_xor compares all n * n cells.  It
+compares them a row at a time with expected XOR rows that are built by
+swapping aligned blocks of earlier rows, never by a XOR per cell, and
+table_to_text converts each distinct value to decimal once.
 """
 
 from __future__ import annotations
@@ -135,15 +138,74 @@ def greedy_minimal_table(n: int) -> list[list[int]]:
     return rows
 
 
+def _xor_rows(count: int, width: int) -> list[int]:
+    """The rows ``[a ^ b for b in range(width)]`` for a in range(count), end to end in one list.
+
+    ``width`` is a power of two and at least ``count``.  Swap identity: for
+    a >= 1 with top bit h = 2**k, a = h + r with r < h, and
+    (h + r) ^ b = r ^ (b ^ h).  XOR with h flips bit k of b, which maps each
+    aligned 2h-block onto itself and swaps its two halves of length h.  So
+    row a is row a - h with its aligned h-blocks swapped pairwise: every
+    row is written as slices of an earlier row, width / h slices for a row
+    of top bit h and width slices for each of the log2(width) top bits.
+    The list starts as row 0 repeated, and the swaps of row a cover all of
+    it.  One list, not one per row, so that building the rows allocates
+    one object the garbage collector tracks, not enough of them to set off
+    a collection that would walk the table being checked.
+    """
+    flat = list(range(width)) * count
+    for a in range(1, count):
+        h = 1 << (a.bit_length() - 1)
+        row, base = a * width, (a - h) * width
+        for start in range(0, width, 2 * h):
+            flat[row + start : row + start + h] = flat[base + start + h : base + start + 2 * h]
+            flat[row + start + h : row + start + 2 * h] = flat[base + start : base + start + h]
+    return flat
+
+
 def verify_table_equals_xor(rows: list[list[int]]) -> tuple[bool, tuple[int, int] | None]:
-    """Check entry (a, b) == a XOR b everywhere; report the first mismatch row-major."""
+    """Check entry (a, b) == a XOR b everywhere; report the first mismatch row-major.
+
+    ``rows`` may be any iterable of iterables, ragged or empty.  Each row is
+    compared with the prefix of its expected row from _xor_rows as one list
+    comparison, and only a row that compares unequal is scanned cell by
+    cell for its first ``value != a ^ b``, so every cell is still checked
+    against an exact a XOR b.  The expected rows hold one reference per
+    cell of a square of side at least the row count and the longest row;
+    when that is more than four per cell of ``rows`` (a few long rows among
+    many short ones), none are built, every nonempty row compares unequal
+    to an empty prefix, and every cell is scanned.
+    """
+    rows = [row if type(row) is list else list(row) for row in rows]
+    side = max(len(rows), *map(len, rows), 1)
+    width = 1 << (side - 1).bit_length()
+    fits = len(rows) * width <= 4 * sum(map(len, rows))
+    want = _xor_rows(len(rows), width) if fits else []
     for a, row in enumerate(rows):
-        for b, value in enumerate(row):
-            if value != a ^ b:
-                return False, (a, b)
+        start = a * width
+        if row != want[start : start + len(row)]:
+            for b, value in enumerate(row):
+                if value != a ^ b:
+                    return False, (a, b)
     return True, None
 
 
+class _Decimals(dict):
+    """Decimal text of each value, converted by ``str`` on first lookup and kept."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = str(value)
+        return text
+
+
 def table_to_text(rows: list[list[int]]) -> str:
-    """One line per row, space-separated decimal entries, no trailing newline."""
-    return "\n".join(" ".join(str(value) for value in row) for row in rows)
+    """One line per row, space-separated decimal entries, no trailing newline.
+
+    Each distinct value is converted to decimal once.  Entries must be
+    hashable, and entries equal in value share the text of the first one
+    seen: ``True`` after ``1`` prints ``1``.  For tables of ints the text is
+    ``str`` of each entry.  A ValueError from ``str`` for an int past the
+    interpreter's digit limit propagates.
+    """
+    names = _Decimals()
+    return "\n".join(" ".join(map(names.__getitem__, row)) for row in rows)

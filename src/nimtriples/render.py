@@ -43,14 +43,14 @@ def classification_grid(k: int, fixed_c: int, *, max_k: int | None = None) -> np
     A writable (2**k, 2**k) uint8 array; this is the one call that loads numpy,
     and without numpy it raises ImportError naming the ``grid`` extra.
     """
-    cells = bytearray().join(_pieces(k, fixed_c, max_k))
+    pieces = _pieces(k, fixed_c, max_k)
     try:
         import numpy as np
     except ImportError as exc:
         raise ImportError("classification_grid needs numpy: install 'nimtriples[grid]'") from exc
 
     n = 1 << k
-    return np.frombuffer(cells, np.uint8).reshape(n, n)
+    return np.frombuffer(bytearray().join(pieces), np.uint8).reshape(n, n)
 
 
 def render_pgm(k: int, fixed_c: int, *, max_k: int | None = None) -> bytes:

@@ -98,6 +98,13 @@ def test_table_verify(capsys):
     assert out == "n=8 xor=ok\n"
 
 
+@pytest.mark.parametrize("n", [1000, 1024], ids=["padded", "cap"])
+def test_table_verify_at_size(capsys, n):
+    # 1000 rows are checked against expected rows of width 1024
+    code, out, err = run(capsys, "table", str(n), "--verify")
+    assert (code, out, err) == (0, f"n={n} xor=ok\n", "")
+
+
 def test_table_rejects_zero(capsys):
     code, _, err = run(capsys, "table", "0")
     assert code == 2
@@ -335,11 +342,11 @@ def _child(*argv, stdout, stderr=subprocess.PIPE, unbuffered=False, preexec_fn=N
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_closed_stdout_pipe_exits_1_quietly(unbuffered):
     # about 4 MB of table against a reader that stops after 10 bytes
-    proc = _child("table", "1024", stdout=subprocess.PIPE, unbuffered=unbuffered)
-    assert len(proc.stdout.read(10)) == 10
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
+    with _child("table", "1024", stdout=subprocess.PIPE, unbuffered=unbuffered) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
     assert err == ""
 
 

@@ -100,9 +100,10 @@ print(json.dumps([before, "numpy" in sys.modules, type(grid).__name__, grid.shap
 
 
 # Every public function and all eight commands, run in a child that may
-# block numpy; it prints what it called, what they gave, and the grid error.
+# block numpy; it prints what it called, what they gave, and the grid errors
+# with the peak memory traced during each grid call.
 _PUBLIC_CALLS = """
-import contextlib, io, json, sys, types
+import contextlib, io, json, sys, tracemalloc, types
 import nimtriples as nt
 from nimtriples.cli import main
 calls = dict(
@@ -137,12 +138,17 @@ for argv in (["sum", "5", "3"], ["classify", "5", "1", "2"], ["reorder", "1", "2
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         commands.append([main(argv), out.getvalue()])
-try:
-    nt.classification_grid(3, 5)
-    grid_error = None
-except ImportError as exc:
-    grid_error = str(exc)
-print(json.dumps([sorted(public), sorted(calls), values, commands, grid_error]))
+grid_errors, grid_peaks = [], []
+for k, c in ((3, 5), (12, 0)):
+    tracemalloc.start()
+    try:
+        nt.classification_grid(k, c)
+        grid_errors.append(None)
+    except ImportError as exc:
+        grid_errors.append(str(exc))
+    grid_peaks.append(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+print(json.dumps([sorted(public), sorted(calls), values, commands, grid_errors, grid_peaks]))
 """
 
 
@@ -150,14 +156,16 @@ def test_everything_but_classification_grid_runs_without_numpy(tmp_path):
     blocked, loaded = tmp_path / "blocked", tmp_path / "loaded"
     blocked.mkdir()
     loaded.mkdir()
-    public, called, values, commands, grid_error = fresh(
+    public, called, values, commands, grid_errors, grid_peaks = fresh(
         'import sys; sys.modules["numpy"] = None' + _PUBLIC_CALLS, cwd=blocked
     )
     assert sorted(set(public) - {"classification_grid"}) == called
     assert [code for code, _ in commands] == [0] * 8
-    assert "nimtriples[grid]" in grid_error
+    assert all("nimtriples[grid]" in error for error in grid_errors)
+    # the k=12 grid is 16 MiB once joined; without numpy it never is
+    assert grid_peaks[1] < 16 << 20
     with_numpy = fresh(_PUBLIC_CALLS, cwd=loaded)
-    assert with_numpy[2:] == [values, commands, None]
+    assert with_numpy[2:5] == [values, commands, [None, None]]
     assert (blocked / "r.pgm").read_bytes() == (loaded / "r.pgm").read_bytes()
 
 

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +16,7 @@ from nimtriples import (
     verify_table_equals_xor,
 )
 from nimtriples.limits import TABLE_MAX_N
-from nimtriples.mex import _exclusion_marks
+from nimtriples.mex import _exclusion_marks, _xor_rows
 
 small = st.integers(min_value=0, max_value=400)
 
@@ -182,3 +185,108 @@ def test_verify_table_equals_xor():
 def test_table_to_text():
     assert table_to_text(greedy_minimal_table(2)) == "0 1\n1 0"
     assert table_to_text([[0]]) == "0"
+
+
+@pytest.mark.parametrize("width", [1 << k for k in range(9)])
+def test_xor_rows_are_the_xor_table(width):
+    table = [a ^ b for a in range(width) for b in range(width)]
+    for count in range(width + 1):
+        assert _xor_rows(count, width) == table[: count * width]
+
+
+def test_xor_rows_allocate_one_tracked_object():
+    # a list per row would count 512 allocations towards a collection
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        flat = _xor_rows(512, 512)
+        after = gc.get_count()[0]
+    finally:
+        gc.enable()
+    assert len(flat) == 512 * 512
+    assert after - before <= 1
+
+
+def _first_mismatch(rows):
+    """The cell-by-cell check: the reference for verify_table_equals_xor."""
+    for a, row in enumerate(rows):
+        for b, value in enumerate(row):
+            if value != a ^ b:
+                return False, (a, b)
+    return True, None
+
+
+@st.composite
+def _tables(draw):
+    """XOR rows of any lengths (empty ones and none at all included), with up to two cells tampered."""
+    lengths = draw(st.lists(st.integers(min_value=0, max_value=40), max_size=40))
+    rows = [[a ^ b for b in range(length)] for a, length in enumerate(lengths)]
+    cells = [(a, b) for a, row in enumerate(rows) for b in range(len(row))]
+    if cells:
+        for a, b in draw(st.lists(st.sampled_from(cells), max_size=2)):
+            rows[a][b] = draw(st.integers(min_value=-2, max_value=80))
+    return rows
+
+
+@given(_tables(), st.sampled_from(["lists", "tuples", "generator"]))
+def test_verify_matches_the_cell_by_cell_check(rows, form):
+    want = _first_mismatch(rows)
+    if form == "tuples":
+        rows = [tuple(row) for row in rows]
+    elif form == "generator":
+        rows = (iter(row) for row in rows)
+    assert verify_table_equals_xor(rows) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 256])
+def test_verify_scans_only_an_unequal_row(n):
+    # the cell-by-cell scan compares with !=, whole rows compare with ==
+    scanned = []
+
+    class Cell(int):
+        def __ne__(self, other):
+            scanned.append(self)
+            return int.__ne__(self, other)
+
+    rows = [[Cell(a ^ b) for b in range(n)] for a in range(n)]
+    assert verify_table_equals_xor(rows) == (True, None)
+    assert scanned == []
+    rows[n - 1][0] = Cell(n)
+    assert verify_table_equals_xor(rows) == (False, (n - 1, 0))
+    assert scanned == [n]
+
+
+def test_verify_of_a_few_long_rows_builds_no_square():
+    # one row of 2048 after 2047 empty ones: a square of expected rows would
+    # take 32 MiB, where the rows themselves hold 2048 references
+    rows = [[] for _ in range(2047)] + [[2047 ^ b for b in range(2048)]]
+    tracemalloc.start()
+    try:
+        assert verify_table_equals_xor(rows) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    rows[-1][-1] = 1
+    assert verify_table_equals_xor(rows) == (False, (2047, 2047))
+
+
+_entries = st.one_of(
+    st.integers(min_value=-300, max_value=300),
+    st.integers(min_value=-(1 << 200), max_value=1 << 200),
+)
+
+
+@given(st.lists(st.lists(_entries, max_size=12), max_size=12))
+def test_table_to_text_is_str_of_every_entry(rows):
+    assert table_to_text(rows) == "\n".join(" ".join(map(str, row)) for row in rows)
+
+
+def test_table_to_text_names_equal_entries_once():
+    assert table_to_text([[1, True], [True, 1]]) == "1 1\n1 1"
+    assert table_to_text(iter([iter([3, 10**20]), (-3,)])) == "3 100000000000000000000\n-3"
+
+
+def test_table_to_text_past_the_digit_limit_raises():
+    with pytest.raises(ValueError):
+        table_to_text([[10**5000]])
