@@ -19,7 +19,7 @@ from .mex import (
     table_to_text,
     verify_table_equals_xor,
 )
-from .natural import bit, compare, nim_sum, parse_natural, require_natural
+from .natural import bit, nim_sum, parse_natural, require_natural
 from .render import GRAY_LEVELS, classification_grid, render_pgm
 from .triangles import (
     CASE_TABLE,
@@ -29,7 +29,6 @@ from .triangles import (
     case_table_lookup,
     classify_triangle,
     classify_vertex,
-    discriminant_index,
     reorder_dominant,
 )
 
@@ -54,8 +53,6 @@ __all__ = [
     "classify_triangle",
     "classify_vertex",
     "closed_form_counts",
-    "compare",
-    "discriminant_index",
     "exclusion_set",
     "greedy_minimal_table",
     "mex_oracle",

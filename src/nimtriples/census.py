@@ -34,18 +34,11 @@ class CensusReport(_CensusFields):
         return cls(*iterable)
 
     @property
-    def total(self) -> int:
-        return 8**self.k
-
-    @property
     def counts(self) -> tuple[int, int, int]:
         return (self.flat, self.tight, self.loose)
 
     def to_line(self) -> str:
         return f"k={self.k} flat={self.flat} tight={self.tight} loose={self.loose}"
-
-    def as_dict(self) -> dict:
-        return self._asdict()
 
 
 def census(k: int, *, max_k: int | None = None) -> CensusReport:

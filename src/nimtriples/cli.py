@@ -111,40 +111,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sum", help="Nim sum of two naturals")
+    p.set_defaults(run=_run_sum)
     p.add_argument("a", type=_natural)
     p.add_argument("b", type=_natural)
 
     p = sub.add_parser("classify", help="class, statuses, and discriminant of a triangle")
+    p.set_defaults(run=_run_classify)
     p.add_argument("a", type=_natural)
     p.add_argument("b", type=_natural)
     p.add_argument("c", type=_natural)
 
     p = sub.add_parser("reorder", help="permute a triple so the first entry dominates")
+    p.set_defaults(run=_run_reorder)
     p.add_argument("a", type=_natural)
     p.add_argument("b", type=_natural)
     p.add_argument("c", type=_natural)
 
     p = sub.add_parser("mex", help="Nim sum recomputed via the exclusion-set mex oracle")
+    p.set_defaults(run=_run_mex)
     p.add_argument("a", type=_natural)
     p.add_argument("b", type=_natural)
 
     p = sub.add_parser("table", help="greedy minimal operation table")
+    p.set_defaults(run=_run_table)
     p.add_argument("n", type=_natural)
     p.add_argument(
         "--verify", action="store_true", help="check the table against XOR instead of printing it"
     )
 
     p = sub.add_parser("move", help="winning-move advice for a Nim position")
+    p.set_defaults(run=_run_move)
     p.add_argument("piles", type=_natural, nargs="+")
     p.add_argument("--all", action="store_true", help="list every winning move (3 piles only)")
 
     p = sub.add_parser("census", help="class tallies over [0, 2**k)^3, counted per discriminant")
+    p.set_defaults(run=_run_census)
     p.add_argument("k", type=_natural)
     p.add_argument(
         "--check-closed-form", action="store_true", help="compare tallies with the closed forms"
     )
 
     p = sub.add_parser("render", help="write the classification bitmap as binary PGM")
+    p.set_defaults(run=_run_render)
     p.add_argument("k", type=_natural)
     p.add_argument("c", type=_natural)
     p.add_argument("--out", required=True, help="output file path")
@@ -231,7 +239,7 @@ def _run_move(args: argparse.Namespace) -> _Result:
 def _run_census(args: argparse.Namespace) -> _Result:
     report = census(args.k)
     text = report.to_line()
-    payload = report.as_dict()
+    payload = report._asdict()
     code = 0
     if args.check_closed_form:
         verdict = "ok" if census_closed_form_check(args.k) else "mismatch"
@@ -270,18 +278,6 @@ def _run_render(args: argparse.Namespace) -> _Result:
     return payload, lambda: f"out={args.out} width={n} height={n}", 0
 
 
-_COMMANDS: dict[str, Callable[[argparse.Namespace], _Result]] = {
-    "sum": _run_sum,
-    "classify": _run_classify,
-    "reorder": _run_reorder,
-    "mex": _run_mex,
-    "table": _run_table,
-    "move": _run_move,
-    "census": _run_census,
-    "render": _run_render,
-}
-
-
 def _format(payload: dict, text: Callable[[], str], as_json: bool) -> str:
     """``payload`` as JSON under ``--json``, else the line ``text()``.
 
@@ -306,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             args = parser.parse_args(argv)  # help and usage errors leave by SystemExit
-            payload, text, code = _COMMANDS[args.command](args)
+            payload, text, code = args.run(args)
             print(_format(payload, text, args.json))
             return code
         finally:

@@ -17,8 +17,11 @@ TABLE_MAX_N = 1024
 DEFAULT_CENSUS_MAX_K = 7
 DEFAULT_RENDER_MAX_K = 12
 
-# Optional override for both bit-width caps above.  It must be an integer in
-# 0..MAX_K_CEILING, a memory bound: at k=16 a render is already a 4 GiB grid.
+# Optional override for both bit-width caps above.  Either cap, from this
+# variable or a max_k argument, must be an integer in 0..MAX_K_CEILING.  The
+# ceiling bounds render memory (at k=16 a render is already a 4 GiB grid),
+# not time: the exhaustive census check sweeps 8**k triples, 1.3 s at k=10
+# on a 2-vCPU VM and about 7 times longer per bit, so days at k=16.
 MAX_K_ENV = "NIM_TRIPLE_MAX_K"
 MAX_K_CEILING = 16
 
@@ -37,19 +40,6 @@ def shown(value: int) -> str:
     return str(value) if bits <= 64 else f"<{bits}-bit number>"
 
 
-def _env_max_k() -> int | None:
-    raw = os.environ.get(MAX_K_ENV)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or not 0 <= value <= MAX_K_CEILING:
-        raise ValueError(f"{MAX_K_ENV} must be an integer in 0..{MAX_K_CEILING}, got {raw!r}")
-    return value
-
-
 # The least bit width and the default cap of each width-checked operation.
 _WIDTHS = {"census": (1, DEFAULT_CENSUS_MAX_K), "render": (0, DEFAULT_RENDER_MAX_K)}
 
@@ -59,13 +49,23 @@ def checked_width(what: str, k: int, max_k: int | None) -> int:
 
     ``what`` is ``"census"`` or ``"render"``.  The cap is ``max_k`` when given,
     else the ``NIM_TRIPLE_MAX_K`` override, else the default of ``what``.
-    Raises ValueError for a non-natural ``k`` or one below the least width,
+    Raises ValueError for a cap from either source that is not a natural up
+    to MAX_K_CEILING, for a non-natural ``k`` or one below the least width,
     and CapExceeded for one above the cap.
     """
     least, default = _WIDTHS[what]
+    source, given = "max_k", max_k
     if max_k is None:
-        override = _env_max_k()
-        max_k = default if override is None else override
+        source, given = MAX_K_ENV, os.environ.get(MAX_K_ENV)
+    if given is None:
+        max_k = default
+    else:
+        try:
+            max_k = require_natural(int(given) if source == MAX_K_ENV else given)
+        except ValueError:
+            max_k = None
+        if max_k is None or max_k > MAX_K_CEILING:
+            raise ValueError(f"{source} must be an integer in 0..{MAX_K_CEILING}, got {given!r}")
     k = require_natural(k)
     if k < least:
         raise ValueError(f"bit width must be >= {least}, got {k}")

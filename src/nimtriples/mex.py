@@ -30,24 +30,25 @@ __all__ = [
 ]
 
 
-def _checked_operands(a: int, b: int, cap: int) -> tuple[int, int]:
-    """``a`` and ``b`` as naturals, or CapExceeded when a + b passes ``cap``."""
+def _checked_operands(a: int, b: int) -> tuple[int, int]:
+    """``a`` and ``b`` as naturals, or CapExceeded when a + b passes MEX_ENUMERATION_CAP."""
     a = require_natural(a)
     b = require_natural(b)
-    if a + b > cap:
+    if a + b > MEX_ENUMERATION_CAP:
         raise CapExceeded(
-            f"exclusion set for ({shown(a)}, {shown(b)}) needs {shown(a + b)} entries, cap is {cap}"
+            f"exclusion set for ({shown(a)}, {shown(b)}) needs {shown(a + b)} entries,"
+            f" cap is {MEX_ENUMERATION_CAP}"
         )
     return a, b
 
 
-def exclusion_set(a: int, b: int, *, cap: int = MEX_ENUMERATION_CAP) -> set[int]:
+def exclusion_set(a: int, b: int) -> set[int]:
     """Every value reachable from (a, b) by lowering one operand of XOR.
 
     Holds up to a + b elements, hence the cap; CapExceeded signals the
     caller to use the direct XOR instead of enumerating.
     """
-    a, b = _checked_operands(a, b, cap)
+    a, b = _checked_operands(a, b)
     return {x ^ b for x in range(a)} | {a ^ y for y in range(b)}
 
 
@@ -77,7 +78,7 @@ def _exclusion_marks(a: int, b: int) -> bytearray:
     return present
 
 
-def mex_oracle(a: int, b: int, *, cap: int = MEX_ENUMERATION_CAP) -> int:
+def mex_oracle(a: int, b: int) -> int:
     """Smallest natural outside exclusion_set(a, b).
 
     Agrees with a XOR b everywhere.  This is the validation route, not the
@@ -88,7 +89,7 @@ def mex_oracle(a: int, b: int, *, cap: int = MEX_ENUMERATION_CAP) -> int:
     The members are marked by the aligned blocks of _exclusion_marks, a
     fact about XOR as a bijection only, never the claim mex == XOR itself.
     """
-    a, b = _checked_operands(a, b, cap)
+    a, b = _checked_operands(a, b)
     return _exclusion_marks(a, b).index(0)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 
-__all__ = ["bit", "compare", "nim_sum", "parse_natural", "require_natural"]
+__all__ = ["bit", "nim_sum", "parse_natural", "require_natural"]
 
 
 def require_natural(value) -> int:
@@ -35,9 +35,10 @@ def parse_natural(text: str) -> int:
 
     Surrounding whitespace is ignored.  Signs, ``_`` separators and non-ASCII
     digits are rejected: negative numbers are not representable, and the rest
-    is outside the grammar.  Raises ValueError on anything unparseable.
+    is outside the grammar.  Raises ValueError on anything unparseable,
+    a value that is not a ``str`` (bytes, an int, None) included.
     """
-    s = text.strip()
+    s = text.strip() if isinstance(text, str) else ""  # "" fails the grammar below
     base = _PREFIX_BASES.get(s[:2], 10)
     digits = s if base == 10 else s[2:]
     # int() alone would also take a sign, "_" separators, non-ASCII digits,
@@ -66,10 +67,3 @@ def bit(a: int, i: int) -> int:
     Defined for every natural i; positions beyond the top set bit are 0.
     """
     return (require_natural(a) >> require_natural(i)) & 1
-
-
-def compare(a: int, b: int) -> int:
-    """Three-way integer order: -1 if a < b, 0 if equal, +1 if a > b."""
-    a = require_natural(a)
-    b = require_natural(b)
-    return (a > b) - (a < b)

@@ -24,7 +24,6 @@ __all__ = [
     "case_table_lookup",
     "classify_triangle",
     "classify_vertex",
-    "discriminant_index",
     "reorder_dominant",
 ]
 
@@ -75,25 +74,15 @@ def classify_vertex(x: int, y: int, z: int) -> VertexStatus:
     return _S
 
 
-def discriminant_index(a: int, b: int, c: int) -> int | None:
-    """Highest bit position where a's digit differs from b's XOR c's.
-
-    None exactly when the triangle is flat.  Digit i of a differs from the
-    XOR of the others' digits iff bit i of a XOR b XOR c is set, so this is
-    simply the most significant set bit of that total.
-    """
-    total = require_natural(a) ^ require_natural(b) ^ require_natural(c)
-    if total == 0:
-        return None
-    return total.bit_length() - 1
-
-
 def classify_triangle(a: int, b: int, c: int) -> TriangleClassification:
     """Classify the triangle (a, b, c) by its large-vertex count.
 
     Flat iff a XOR b XOR c == 0.  Otherwise, with t = a XOR b XOR c, vertex x
     is large iff (x XOR t) < x, i.e. iff x has digit 1 at msb(t); the digits
     there have odd parity, so the large-vertex count is 3 (tight) or 1 (loose).
+    The discriminant is msb(t), the highest bit position where a's digit
+    differs from the XOR of b's and c's: digit i of a differs from it iff bit
+    i of t is set.
     """
     a = require_natural(a)
     b = require_natural(b)

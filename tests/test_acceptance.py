@@ -21,7 +21,6 @@ from nimtriples import (
     census,
     census_closed_form_check,
     classify_triangle,
-    discriminant_index,
     greedy_minimal_table,
     nim_sum,
     bit,
@@ -84,12 +83,13 @@ def test_case_table_agrees_with_direct_statuses():
     checked = 0
     violations = 0
     for a, b, c in product(range(side), repeat=3):
-        j = discriminant_index(a, b, c)
+        result = classify_triangle(a, b, c)
+        j = result.discriminant
         if j is None:
             continue
         checked += 1
         looked_up = case_table_lookup(bit(a, j), bit(b, j), bit(c, j))
-        if looked_up is None or looked_up != classify_triangle(a, b, c).statuses:
+        if looked_up is None or looked_up != result.statuses:
             violations += 1
     report(
         "case table consistency",

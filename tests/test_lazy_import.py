@@ -115,8 +115,6 @@ calls = dict(
     classify_triangle=lambda: nt.classify_triangle(5, 1, 2),
     classify_vertex=lambda: nt.classify_vertex(5, 1, 2),
     closed_form_counts=lambda: nt.closed_form_counts(3),
-    compare=lambda: nt.compare(5, 3),
-    discriminant_index=lambda: nt.discriminant_index(5, 1, 2),
     exclusion_set=lambda: sorted(nt.exclusion_set(2, 3)),
     greedy_minimal_table=lambda: nt.greedy_minimal_table(4),
     mex_oracle=lambda: nt.mex_oracle(2, 3),

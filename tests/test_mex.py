@@ -46,9 +46,16 @@ def test_cap_exceeded():
         exclusion_set(1 << 20, 1)
     with pytest.raises(CapExceeded):
         mex_oracle(1 << 20, 1)
-    with pytest.raises(CapExceeded):
-        exclusion_set(5, 5, cap=9)
-    assert mex_oracle(5, 5, cap=10) == 0
+    with pytest.raises(CapExceeded, match=rf"needs {MEX_ENUMERATION_CAP + 1} entries, cap is"):
+        exclusion_set(MEX_ENUMERATION_CAP - 4, 5)
+    assert mex_oracle(MEX_ENUMERATION_CAP - 5, 5) == (MEX_ENUMERATION_CAP - 5) ^ 5
+
+
+@pytest.mark.parametrize("call", [exclusion_set, mex_oracle])
+def test_the_cap_is_the_constant(call):
+    # no keyword raises the cap: a + b above MEX_ENUMERATION_CAP is always refused
+    with pytest.raises(TypeError):
+        call(1, 1, cap=1 << 40)
 
 
 def test_mex_oracle_examples():

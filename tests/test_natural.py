@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nimtriples import bit, compare, nim_sum, parse_natural, require_natural
+from nimtriples import bit, nim_sum, parse_natural, require_natural
 
 naturals = st.integers(min_value=0)
 wide = st.integers(min_value=1 << 64, max_value=(1 << 192) - 1)
@@ -33,6 +33,13 @@ def test_parse_rejects_garbage(text):
 def test_parse_rejects_signs(text):
     with pytest.raises(ValueError):
         parse_natural(text)
+
+
+@pytest.mark.parametrize("value", [12, None, b"12", bytearray(b"12")])
+def test_parse_refuses_non_strings(value):
+    with pytest.raises(ValueError) as exc:
+        parse_natural(value)
+    assert str(exc.value) == f"not a natural number: {value!r}"
 
 
 @given(naturals)
@@ -93,12 +100,6 @@ def test_bit_rejects_negative_index():
 def test_bit_index_must_be_natural(index):
     with pytest.raises(ValueError):
         bit(5, index)
-
-
-def test_compare_examples():
-    assert compare(5, 3) == 1
-    assert compare(3, 3) == 0
-    assert compare(2, 1 << 70) == -1
 
 
 @given(naturals, naturals)

@@ -12,7 +12,6 @@ from nimtriples import (
     case_table_lookup,
     classify_triangle,
     classify_vertex,
-    discriminant_index,
     nim_sum,
     reorder_dominant,
 )
@@ -28,6 +27,24 @@ def test_classify_vertex_examples():
     assert classify_vertex(5, 1, 2) is L
     assert classify_vertex(3, 1, 2) is A
     assert classify_vertex(1, 5, 2) is S
+
+
+def _compared_statuses(a, b, c):
+    # the comparison definition: each vertex against the Nim sum of the other two
+    return (classify_vertex(a, b, c), classify_vertex(b, a, c), classify_vertex(c, a, b))
+
+
+@given(st.tuples(wide, wide), st.booleans(), wide)
+def test_bit_rule_matches_comparison_definition(pair, flat, c):
+    a, b = pair
+    if flat:
+        c = a ^ b
+    assert classify_triangle(a, b, c).statuses == _compared_statuses(a, b, c)
+
+
+def test_bit_rule_matches_comparison_definition_exhaustive():
+    for a, b, c in product(range(16), repeat=3):
+        assert classify_triangle(a, b, c).statuses == _compared_statuses(a, b, c)
 
 
 def test_flat_triangle():
@@ -63,9 +80,9 @@ def test_zero_triangle_is_flat():
 
 
 def test_discriminant_examples():
-    assert discriminant_index(3, 1, 2) is None
-    assert discriminant_index(5, 1, 2) == 2
-    assert discriminant_index(1, 1, 1) == 0
+    assert classify_triangle(3, 1, 2).discriminant is None
+    assert classify_triangle(5, 1, 2).discriminant == 2
+    assert classify_triangle(1, 1, 1).discriminant == 0
 
 
 def _scan_discriminant(a, b, c):
@@ -79,7 +96,7 @@ def _scan_discriminant(a, b, c):
 
 @given(triples)
 def test_discriminant_matches_digit_scan(t):
-    assert discriminant_index(*t) == _scan_discriminant(*t)
+    assert classify_triangle(*t).discriminant == _scan_discriminant(*t)
 
 
 def test_case_table_rows_verbatim():
