@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import _kernel
-from .limits import checked_width
+from .limits import CENSUS_CHECK_MAX_K, CapExceeded, checked_width
 from .natural import require_natural
 
 __all__ = ["CensusReport", "census", "census_closed_form_check", "closed_form_counts"]
@@ -78,7 +78,10 @@ def census_closed_form_check(k: int, *, max_k: int | None = None) -> bool:
     """True iff the closed-form tallies match an exhaustive sweep of every triple.
 
     The sweep builds each a-slice with the kernel's byte grid and counts its
-    bytes, under the same cap as ``census``.
+    bytes, under the same cap as ``census`` and never above
+    CENSUS_CHECK_MAX_K, which bounds its time.
     """
     k = checked_width("census", k, max_k)
+    if k > CENSUS_CHECK_MAX_K:
+        raise CapExceeded(f"census check k={k} exceeds cap {CENSUS_CHECK_MAX_K}")
     return _kernel.count(k) == closed_form_counts(k)

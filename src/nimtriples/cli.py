@@ -1,7 +1,10 @@
 """Command-line front end with stable single-line outputs.
 
-Numbers are accepted in decimal, 0x hex, or 0b binary.  Text output is a
-pure function of argv; ``--json`` emits the same fields as one JSON object.
+Numbers are accepted in decimal, 0x hex, or 0b binary.  The bytes written
+depend on argv and ``NIM_TRIPLE_MAX_K`` alone: help is 78 columns wide on
+any terminal, decimals convert up to ``limits.DECIMAL_DIGITS`` digits
+whatever the interpreter's own limit, and the CLI writes only ASCII of its
+own.  ``--json`` emits the same fields as the text, as one JSON object.
 Exit codes: 0 success, 1 failed verification or write error, 2 usage error,
 3 cap exceeded: an enumeration cap, or an integer too long to print in decimal.
 Each command returns its payload, text and exit code; ``main`` parses,
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -19,7 +23,7 @@ from collections.abc import Callable, Iterator
 
 from .advisor import advise_move, winning_moves
 from .census import census, census_closed_form_check
-from .limits import CapExceeded
+from .limits import DECIMAL_DIGITS, CapExceeded
 from .mex import greedy_minimal_table, mex_oracle, table_to_text, verify_table_equals_xor
 from .natural import nim_sum, parse_natural
 from .render import render_pgm
@@ -36,7 +40,7 @@ def _token(text: str, show: Callable[[str], str] = repr) -> str:
     """``show(text)``, or for a longer token its first characters and its length."""
     if len(text) <= _TOKEN_SHOWN:
         return show(text)
-    return f"{show(text[:_TOKEN_SHOWN])}…({len(text)} chars)"
+    return f"{show(text[:_TOKEN_SHOWN])}...({len(text)} chars)"
 
 
 def _natural(text: str) -> int:
@@ -68,16 +72,24 @@ def _error(message: str) -> None:
     _to_stderr(f"error: {message}\n")
 
 
+# argparse's width where there is no terminal, fixed so that neither a terminal
+# nor COLUMNS changes a help or usage line
+_HELP_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse whose usage errors echo tokens through ``_token`` and whose help can fail.
+    """argparse of fixed help width, whose usage errors go through ``_token``, and help can fail.
 
     argparse drops an OSError from writing help to stdout, so help to an
     unbuffered stdout that fails would exit 0 with nothing written; here
     it reaches ``main``, which reports it with exit 1.  Usage errors go
     through ``_to_stderr``: argparse would leave a failed write's bytes for
     the flush at exit (exit 120), and print its usage line to stdout when
-    ``sys.stderr`` is None.
+    ``sys.stderr`` is None.  Subparsers are ``_Parser`` too.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, formatter_class=_HELP_FORMATTER, **kwargs)
 
     def _print_message(self, message, file=None):
         if message and file is not None and file is sys.stdout:
@@ -272,7 +284,8 @@ def _run_render(args: argparse.Namespace) -> _Result:
     try:
         _write_replacing(args.out, data)
     except OSError as exc:
-        raise _FileUnwritable(f"cannot write {args.out}: {exc}") from None
+        # strerror alone: the OSError may name the temporary file, whose name holds the pid
+        raise _FileUnwritable(f"cannot write {args.out}: {exc.strerror}") from None
     n = 1 << args.k
     payload = {"out": args.out, "width": n, "height": n}
     return payload, lambda: f"out={args.out} width={n} height={n}", 0
@@ -282,23 +295,26 @@ def _format(payload: dict, text: Callable[[], str], as_json: bool) -> str:
     """``payload`` as JSON under ``--json``, else the line ``text()``.
 
     Every integer ``text()`` prints is also in ``payload``.  One with more
-    decimal digits than the interpreter converts (``sys.get_int_max_str_digits``)
-    is refused as a cap, exit 3, before anything is printed.
+    than ``DECIMAL_DIGITS`` decimal digits, the limit ``main`` sets, is
+    refused as a cap, exit 3, before anything is printed.
     """
     try:
         return json.dumps(payload) if as_json else text()
     except ValueError:
         widest = max(_integers(payload), default=0)
-        limit = sys.get_int_max_str_digits()
-        if not limit or widest < 10**limit:
+        if widest < 10**DECIMAL_DIGITS:
             raise
         raise CapExceeded(
-            f"result of {widest.bit_length()} bits exceeds the {limit}-digit decimal output limit"
+            f"result of {widest.bit_length()} bits exceeds"
+            f" the {DECIMAL_DIGITS}-digit decimal output limit"
         ) from None
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    # parse and format convert DECIMAL_DIGITS digits, whatever PYTHONINTMAXSTRDIGITS says
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DECIMAL_DIGITS)
     try:
         try:
             args = parser.parse_args(argv)  # help and usage errors leave by SystemExit
@@ -323,7 +339,5 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _error(str(exc))
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -20,10 +20,19 @@ DEFAULT_RENDER_MAX_K = 12
 # Optional override for both bit-width caps above.  Either cap, from this
 # variable or a max_k argument, must be an integer in 0..MAX_K_CEILING.  The
 # ceiling bounds render memory (at k=16 a render is already a 4 GiB grid),
-# not time: the exhaustive census check sweeps 8**k triples, 1.3 s at k=10
-# on a 2-vCPU VM and about 7 times longer per bit, so days at k=16.
+# not time; the exhaustive census check has its own cap, CENSUS_CHECK_MAX_K.
 MAX_K_ENV = "NIM_TRIPLE_MAX_K"
 MAX_K_CEILING = 16
+
+# The exhaustive census check sweeps 8**k triples, about 7 times longer per
+# bit, so days at k=16; 8**k <= 2**30 keeps it to 1.3..3.4 s on a 2-vCPU VM.
+# No max_k and no NIM_TRIPLE_MAX_K raises it.
+CENSUS_CHECK_MAX_K = 10
+
+# The command line converts integers to and from decimal up to this many
+# digits, whatever the interpreter's own limit (PYTHONINTMAXSTRDIGITS) says;
+# 4300 is that limit's default.
+DECIMAL_DIGITS = 4300
 
 
 class CapExceeded(Exception):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import shlex
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from nimtriples.cli import main
+from nimtriples.limits import DECIMAL_DIGITS
 
 
 def run(capsys, *argv):
@@ -269,7 +271,7 @@ def test_rejected_long_token_is_echoed_short(capsys, argv):
     assert len(err.encode()) < 1000
     assert "99999999999999999999" in err
     assert "999999999999999999999" not in err
-    assert "…(5000 chars)" in err
+    assert "...(5000 chars)" in err
 
 
 @pytest.mark.parametrize("raw", ["-1", "17", "banana"])
@@ -486,12 +488,37 @@ def test_render_replaces_existing_file(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == [target]
 
 
-# 16000 bits, about 4817 decimal digits: past the interpreter's default limit of 4300
+def test_failed_render_names_only_its_target(capsys, tmp_path):
+    # the temporary file's name holds the pid, so the error line leaves it out
+    missing = str(tmp_path / "missing" / "x.pgm")
+    first = run(capsys, "render", "2", "5", "--out", missing)
+    assert first == (1, "", f"error: cannot write {missing}: {os.strerror(errno.ENOENT)}\n")
+    assert run(capsys, "render", "2", "5", "--out", missing) == first
+    # a directory as the target: the temporary file is written beside it,
+    # the rename fails, and the temporary file is removed
+    target = tmp_path / "dir"
+    target.mkdir()
+    code, out, err = run(capsys, "render", "2", "5", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {target}: {os.strerror(errno.EISDIR)}\n"
+    assert ".tmp" not in first[2] + err
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
+
+
+def test_census_check_past_its_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setenv("NIM_TRIPLE_MAX_K", "16")
+    monkeypatch.setattr("nimtriples._kernel.count", lambda k: pytest.fail("the sweep ran"))
+    refused = "error: census check k=11 exceeds cap 10\n"
+    assert run(capsys, "census", "11", "--check-closed-form") == (3, "", refused)
+    counted = "k=11 flat=4194304 tight=2146435072 loose=6439305216\n"
+    assert run(capsys, "census", "11") == (0, counted, "")
+
+
+# 16000 bits, about 4817 decimal digits: past the CLI's limit of 4300
 WIDE = "0x" + "f" * 4000
-DECIMAL_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-@pytest.mark.skipif(not 0 < DECIMAL_LIMIT < 4817, reason="the interpreter prints 16000 bits")
 @pytest.mark.parametrize(
     "argv",
     [
@@ -508,7 +535,7 @@ def test_output_too_wide_for_decimal_is_a_cap(capsys, argv):
     assert (code, out) == (3, "")
     assert err.startswith("error:")
     assert "16000 bits" in err
-    assert f"{DECIMAL_LIMIT}-digit" in err
+    assert f"{DECIMAL_DIGITS}-digit" in err
 
 
 def test_wide_operands_with_a_short_result_still_print(capsys):

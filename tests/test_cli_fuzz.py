@@ -5,7 +5,7 @@ exactly one ``error:`` line to stderr.
 
 Tokens come from the eight command names, the real flags, the removed
 ``--timing``, numbers in every accepted spelling (negative, past 64 bits and
-past the interpreter's decimal digit limit too) and junk.  Widths are capped
+past the CLI's decimal digit limit too) and junk.  Widths are capped
 at 4 and small operands stay at 64 or below, so each argv runs in about a
 millisecond; the wide operands only ever reach a cap or the output limit.
 """

@@ -1,13 +1,23 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
 from nimtriples import (
+    MEX_ENUMERATION_CAP,
     CapExceeded,
     _kernel,
     census,
     census_closed_form_check,
     classification_grid,
+    closed_form_counts,
+    mex_oracle,
     render_pgm,
 )
+from nimtriples.limits import CENSUS_CHECK_MAX_K, DEFAULT_RENDER_MAX_K, TABLE_MAX_N
 
 WIDTH_CHECKED = [census, census_closed_form_check, classification_grid, render_pgm]
 
@@ -58,3 +68,73 @@ def test_environment_cap_keeps_its_message(monkeypatch, call, raw):
     monkeypatch.setenv("NIM_TRIPLE_MAX_K", raw)
     message = _refused(monkeypatch, call)
     assert message == f"NIM_TRIPLE_MAX_K must be an integer in 0..16, got {raw!r}"
+
+
+@pytest.mark.parametrize("k", [CENSUS_CHECK_MAX_K + 1, 16])
+def test_census_check_cap_holds_whatever_max_k_says(monkeypatch, k):
+    # 8**k triples: at k=16 the sweep would run for days, so it is refused before it starts
+    monkeypatch.setattr(_kernel, "count", _no_kernel)
+    message = rf"^census check k={k} exceeds cap {CENSUS_CHECK_MAX_K}$"
+    with pytest.raises(CapExceeded, match=message):
+        census_closed_form_check(k, max_k=16)
+    monkeypatch.setenv("NIM_TRIPLE_MAX_K", "16")
+    with pytest.raises(CapExceeded, match=message):
+        census_closed_form_check(k)
+    assert census(k).k == k  # the counted census is O(k) and keeps the wider cap
+
+
+def test_census_check_runs_at_its_cap(monkeypatch):
+    monkeypatch.setattr(_kernel, "count", closed_form_counts)  # the sweep itself takes seconds
+    assert CENSUS_CHECK_MAX_K == 10
+    assert census_closed_form_check(CENSUS_CHECK_MAX_K, max_k=16)
+
+
+def _traced_peak(call, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "a,b", [(MEX_ENUMERATION_CAP, 0), (MEX_ENUMERATION_CAP // 2, MEX_ENUMERATION_CAP // 2)]
+)
+def test_mex_at_its_cap_stays_linear_in_memory(a, b):
+    # the marks, the block of ones and one copy of a block: at most 3 bytes per entry
+    assert _traced_peak(mex_oracle, a, b) < 4 * MEX_ENUMERATION_CAP
+
+
+@pytest.mark.parametrize("c", [0, 5, (1 << DEFAULT_RENDER_MAX_K) - 1])
+def test_render_at_its_default_cap_holds_little_beside_its_output(c):
+    # the 4**k-byte PGM and the grid one bit narrower, a quarter of it
+    k = DEFAULT_RENDER_MAX_K
+    assert _traced_peak(render_pgm, k, c) < 1.5 * 4**k
+
+
+_TABLE_RSS = """
+import resource, sys
+from nimtriples import greedy_minimal_table
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+greedy_minimal_table(int(sys.argv[1]))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_table_at_its_cap_stays_under_32_bytes_a_cell():
+    # tracemalloc slows this fill about 24 times, so a child reports its peak resident size;
+    # the rows hold n * n pointers, 8 bytes a cell, and the cells' int objects
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", _TABLE_RSS, str(TABLE_MAX_N)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        check=True,
+    )
+    assert int(proc.stdout) * 1024 < 32 * TABLE_MAX_N**2
