@@ -294,16 +294,16 @@ def _run_render(args: argparse.Namespace) -> _Result:
 def _format(payload: dict, text: Callable[[], str], as_json: bool) -> str:
     """``payload`` as JSON under ``--json``, else the line ``text()``.
 
-    Every integer ``text()`` prints is also in ``payload``.  One with more
-    than ``DECIMAL_DIGITS`` decimal digits, the limit ``main`` sets, is
-    refused as a cap, exit 3, before anything is printed.
+    Either raises ValueError only for an integer past ``DECIMAL_DIGITS``
+    decimal digits, the limit ``main`` sets: payloads hold no floats, texts
+    convert only ints, and every integer ``text()`` prints is also in
+    ``payload``.  Such a result is refused as a cap, exit 3, before anything
+    is printed.
     """
     try:
         return json.dumps(payload) if as_json else text()
     except ValueError:
         widest = max(_integers(payload), default=0)
-        if widest < 10**DECIMAL_DIGITS:
-            raise
         raise CapExceeded(
             f"result of {widest.bit_length()} bits exceeds"
             f" the {DECIMAL_DIGITS}-digit decimal output limit"

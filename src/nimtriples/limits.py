@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 
-from .natural import require_natural
+from .natural import parse_natural, require_natural
 
 # The exclusion set holds up to a + b elements; beyond this the oracle refuses
 # and the caller should use the direct XOR instead.
@@ -57,7 +57,8 @@ def checked_width(what: str, k: int, max_k: int | None) -> int:
     """``k`` as a natural bit width from the least width up to the cap of ``what``.
 
     ``what`` is ``"census"`` or ``"render"``.  The cap is ``max_k`` when given,
-    else the ``NIM_TRIPLE_MAX_K`` override, else the default of ``what``.
+    else the ``NIM_TRIPLE_MAX_K`` override, read by ``parse_natural`` like a
+    numeric argument of the CLI, else the default of ``what``.
     Raises ValueError for a cap from either source that is not a natural up
     to MAX_K_CEILING, for a non-natural ``k`` or one below the least width,
     and CapExceeded for one above the cap.
@@ -70,7 +71,7 @@ def checked_width(what: str, k: int, max_k: int | None) -> int:
         max_k = default
     else:
         try:
-            max_k = require_natural(int(given) if source == MAX_K_ENV else given)
+            max_k = parse_natural(given) if source == MAX_K_ENV else require_natural(given)
         except ValueError:
             max_k = None
         if max_k is None or max_k > MAX_K_CEILING:

@@ -69,12 +69,13 @@ def _exclusion_marks(a: int, b: int) -> bytearray:
     writes at most a + b of them.
     """
     present = bytearray(a + b + 1)
+    marks = memoryview(present)  # a slice of the bytearray itself would copy each block first
     ones = memoryview(b"\x01" * max(a, b))  # the longest block is at most max(a, b)
     for lowered, other in ((a, b), (b, a)):
         for i in range(lowered.bit_length()):
             if lowered >> i & 1:
                 start = ((lowered >> (i + 1) << (i + 1)) ^ other) >> i << i
-                present[start : start + (1 << i)] = ones[: 1 << i]
+                marks[start : start + (1 << i)] = ones[: 1 << i]
     return present
 
 
@@ -167,24 +168,21 @@ def _xor_rows(count: int, width: int) -> list[int]:
 def verify_table_equals_xor(rows: list[list[int]]) -> tuple[bool, tuple[int, int] | None]:
     """Check entry (a, b) == a XOR b everywhere; report the first mismatch row-major.
 
-    ``rows`` may be any iterable of iterables, ragged or empty.  Each row is
-    compared with the prefix of its expected row from _xor_rows as one list
+    ``rows`` is an n-by-n table, n rows of n entries each, as
+    greedy_minimal_table returns; any other shape raises ValueError.  Each
+    row is compared with its expected row from _xor_rows as one list
     comparison, and only a row that compares unequal is scanned cell by
     cell for its first ``value != a ^ b``, so every cell is still checked
-    against an exact a XOR b.  The expected rows hold one reference per
-    cell of a square of side at least the row count and the longest row;
-    when that is more than four per cell of ``rows`` (a few long rows among
-    many short ones), none are built, every nonempty row compares unequal
-    to an empty prefix, and every cell is scanned.
+    against an exact a XOR b.
     """
-    rows = [row if type(row) is list else list(row) for row in rows]
-    side = max(len(rows), *map(len, rows), 1)
-    width = 1 << (side - 1).bit_length()
-    fits = len(rows) * width <= 4 * sum(map(len, rows))
-    want = _xor_rows(len(rows), width) if fits else []
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"table of {n} rows is not {n} by {n}")
+    width = 1 << (n - 1).bit_length()
+    want = _xor_rows(n, width)
     for a, row in enumerate(rows):
         start = a * width
-        if row != want[start : start + len(row)]:
+        if row != want[start : start + n]:
             for b, value in enumerate(row):
                 if value != a ^ b:
                     return False, (a, b)

@@ -8,20 +8,17 @@ All functions are pure; values are immutable and safe to share.
 
 from __future__ import annotations
 
-import operator
-
 __all__ = ["bit", "nim_sum", "parse_natural", "require_natural"]
 
 
 def require_natural(value) -> int:
-    """Return ``value`` as a plain int, rejecting negatives, bools and non-integers."""
+    """Return ``value`` if it is a non-negative ``int``; raise ValueError otherwise.
+
+    Only ``int`` itself counts: a bool, an ``int`` subclass, a numpy integer
+    or any other object with ``__index__`` is refused, not converted.
+    """
     if type(value) is not int:
-        if type(value) is bool:
-            raise ValueError(f"not an integer: {value!r}")
-        try:
-            value = operator.index(value)
-        except TypeError:
-            raise ValueError(f"not an integer: {value!r}") from None
+        raise ValueError(f"not an integer: {value!r}")
     if value < 0:
         raise ValueError(f"not a natural number: {value}")
     return value

@@ -1,5 +1,6 @@
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from nimtriples import (
@@ -131,7 +132,16 @@ def test_report_outputs_for_k2():
     assert list(report._asdict().items()) == [("k", 2), ("flat", 16), ("tight", 12), ("loose", 36)]
 
 
-@pytest.mark.parametrize("k", [2.0, True, False, -1, "2", None])
+class _Index:
+    def __index__(self):
+        return 2
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("k", [2.0, True, False, -1, "2", None, np.int64(2), _Index(), _Int(3)])
 def test_widths_must_be_naturals(k):
     for call in (census, census_closed_form_check, closed_form_counts):
         with pytest.raises(ValueError):

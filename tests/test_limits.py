@@ -17,6 +17,7 @@ from nimtriples import (
     mex_oracle,
     render_pgm,
 )
+from nimtriples.cli import main
 from nimtriples.limits import CENSUS_CHECK_MAX_K, DEFAULT_RENDER_MAX_K, TABLE_MAX_N
 
 WIDTH_CHECKED = [census, census_closed_form_check, classification_grid, render_pgm]
@@ -62,12 +63,20 @@ def test_max_k_wins_over_the_environment(monkeypatch):
     assert render_pgm(1, 0, max_k=1).startswith(b"P5\n2 2\n")
 
 
-@pytest.mark.parametrize("raw", ["-1", "17", "banana", "", "2.5", "True"])
+# "+7", "1_0" and an Arabic-Indic seven are outside parse_natural's grammar, though int() takes them
+@pytest.mark.parametrize("raw", ["-1", "17", "banana", "", "2.5", "True", "+7", "1_0", "\u0667"])
 @pytest.mark.parametrize("call", WIDTH_CHECKED)
 def test_environment_cap_keeps_its_message(monkeypatch, call, raw):
     monkeypatch.setenv("NIM_TRIPLE_MAX_K", raw)
     message = _refused(monkeypatch, call)
     assert message == f"NIM_TRIPLE_MAX_K must be an integer in 0..16, got {raw!r}"
+
+
+@pytest.mark.parametrize("raw", ["0x8", "0b1000", " 8 "])
+def test_environment_cap_takes_the_argument_grammar(monkeypatch, raw):
+    monkeypatch.setenv("NIM_TRIPLE_MAX_K", raw)
+    assert census(8).k == 8
+    assert main(["census", "8"]) == 0
 
 
 @pytest.mark.parametrize("k", [CENSUS_CHECK_MAX_K + 1, 16])
@@ -102,8 +111,8 @@ def _traced_peak(call, *args, **kwargs) -> int:
     "a,b", [(MEX_ENUMERATION_CAP, 0), (MEX_ENUMERATION_CAP // 2, MEX_ENUMERATION_CAP // 2)]
 )
 def test_mex_at_its_cap_stays_linear_in_memory(a, b):
-    # the marks, the block of ones and one copy of a block: at most 3 bytes per entry
-    assert _traced_peak(mex_oracle, a, b) < 4 * MEX_ENUMERATION_CAP
+    # the marks and the block of ones, written in place: at most 2 bytes per entry
+    assert _traced_peak(mex_oracle, a, b) < 2.5 * MEX_ENUMERATION_CAP
 
 
 @pytest.mark.parametrize("c", [0, 5, (1 << DEFAULT_RENDER_MAX_K) - 1])

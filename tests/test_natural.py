@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -70,11 +71,29 @@ def test_nim_sum_rejects_negatives():
         nim_sum(3, -1)
 
 
+class _Index:
+    """Not an int, but convertible to one through ``__index__``."""
+
+    def __index__(self):
+        return 5
+
+    def __repr__(self):
+        return "_Index()"
+
+
+class _Int(int):
+    pass
+
+
 def test_require_natural_rejects_non_integers():
     with pytest.raises(ValueError):
         require_natural(1.5)
     with pytest.raises(ValueError):
         require_natural("3")
+    # only int itself: integers of other types are refused, not converted
+    for value in (np.int64(5), _Index(), _Int(5)):
+        with pytest.raises(ValueError, match=rf"^not an integer: {re.escape(repr(value))}$"):
+            require_natural(value)
     assert require_natural(0) == 0
 
 
