@@ -10,7 +10,7 @@ full enumeration, and the test suite does.
 """
 
 from .advisor import Move, advise_move, winning_moves
-from .census import CensusReport, census, census_closed_form_check, closed_form_counts
+from .census import CensusReport, census, census_closed_form_check
 from .limits import MEX_ENUMERATION_CAP, CapExceeded
 from .mex import (
     exclusion_set,
@@ -52,7 +52,6 @@ __all__ = [
     "classification_grid",
     "classify_triangle",
     "classify_vertex",
-    "closed_form_counts",
     "exclusion_set",
     "greedy_minimal_table",
     "mex_oracle",

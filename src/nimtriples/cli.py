@@ -23,24 +23,13 @@ from collections.abc import Callable, Iterator
 
 from .advisor import advise_move, winning_moves
 from .census import census, census_closed_form_check
-from .limits import DECIMAL_DIGITS, CapExceeded
+from .limits import DECIMAL_DIGITS, CapExceeded, _token
 from .mex import greedy_minimal_table, mex_oracle, table_to_text, verify_table_equals_xor
 from .natural import nim_sum, parse_natural
 from .render import render_pgm
 from .triangles import classify_triangle, reorder_dominant
 
 __all__ = ["build_parser", "main"]
-
-
-# A usage error echoes at most this many characters of a rejected token.
-_TOKEN_SHOWN = 20
-
-
-def _token(text: str, show: Callable[[str], str] = repr) -> str:
-    """``show(text)``, or for a longer token its first characters and its length."""
-    if len(text) <= _TOKEN_SHOWN:
-        return show(text)
-    return f"{show(text[:_TOKEN_SHOWN])}...({len(text)} chars)"
 
 
 def _natural(text: str) -> int:

@@ -1,8 +1,9 @@
-"""Enumeration caps shared by the mex oracle, the greedy table, the census, and the renderer."""
+"""Enumeration caps of every operation, and the one rule for echoing a refused value."""
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 
 from .natural import parse_natural, require_natural
 
@@ -26,7 +27,7 @@ MAX_K_CEILING = 16
 
 # The exhaustive census check sweeps 8**k triples, about 7 times longer per
 # bit, so days at k=16; 8**k <= 2**30 keeps it to 1.3..3.4 s on a 2-vCPU VM.
-# No max_k and no NIM_TRIPLE_MAX_K raises it.
+# It is the check's only cap: neither max_k nor NIM_TRIPLE_MAX_K applies.
 CENSUS_CHECK_MAX_K = 10
 
 # The command line converts integers to and from decimal up to this many
@@ -37,6 +38,17 @@ DECIMAL_DIGITS = 4300
 
 class CapExceeded(Exception):
     """An enumeration-bounded operation was asked to exceed its cap."""
+
+
+# A refusal or a usage error echoes at most this many characters of a string.
+_TOKEN_SHOWN = 20
+
+
+def _token(text: str, show: Callable[[str], str] = repr) -> str:
+    """``show(text)``, or for a longer token its first characters and its length."""
+    if len(text) <= _TOKEN_SHOWN:
+        return show(text)
+    return f"{show(text[:_TOKEN_SHOWN])}...({len(text)} chars)"
 
 
 def shown(value: int) -> str:
@@ -75,7 +87,10 @@ def checked_width(what: str, k: int, max_k: int | None) -> int:
         except ValueError:
             max_k = None
         if max_k is None or max_k > MAX_K_CEILING:
-            raise ValueError(f"{source} must be an integer in 0..{MAX_K_CEILING}, got {given!r}")
+            echo = _token if isinstance(given, str) else shown if isinstance(given, int) else repr
+            raise ValueError(
+                f"{source} must be an integer in 0..{MAX_K_CEILING}, got {echo(given)}"
+            )
     k = require_natural(k)
     if k < least:
         raise ValueError(f"bit width must be >= {least}, got {k}")

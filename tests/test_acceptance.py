@@ -190,7 +190,7 @@ def test_census_counts_and_closed_forms():
         if got != brute:
             problems.append(f"k={k} enumerated {got}!={brute}")
     for k in range(1, 9):
-        if not census_closed_form_check(k, max_k=8):
+        if not census_closed_form_check(k):
             problems.append(f"closed form k={k}")
     start = time.perf_counter()
     census(6)

@@ -9,8 +9,8 @@ from nimtriples import (
     census,
     census_closed_form_check,
     classify_triangle,
-    closed_form_counts,
 )
+from nimtriples.limits import MAX_K_CEILING
 from nimtriples.triangles import TriangleClass
 
 
@@ -52,8 +52,6 @@ def test_flat_count_is_fourth_power(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_closed_form(k):
-    report = census(k)
-    assert closed_form_counts(k) == report.counts
     assert census_closed_form_check(k)
 
 
@@ -102,28 +100,24 @@ def test_report_as_dict():
     assert list(payload.items()) == [("k", 1), ("flat", 4), ("tight", 1), ("loose", 3)]
 
 
-def test_report_rejects_bad_sum():
-    with pytest.raises(ValueError):
-        CensusReport(k=1, flat=4, tight=1, loose=4)
-    with pytest.raises(ValueError):
-        census(1)._replace(loose=4)
-
-
 @pytest.mark.parametrize("k", range(1, 65))
 def test_closed_form_is_the_sum_over_discriminants(k):
     # above j: 4**(k-1-j) even-parity digit triples; at j: one tight row; below j: 8**j
     tight = sum(4 ** (k - 1 - j) * 8**j for j in range(k))
     flat = 4**k
-    assert closed_form_counts(k) == (flat, tight, 3 * tight)
+    assert tight == 4 ** (k - 1) * (2**k - 1)
     assert flat + 4 * tight == 8**k
+    if k <= MAX_K_CEILING:  # past every cap the proof's arithmetic is checked alone
+        assert census(k, max_k=MAX_K_CEILING).counts == (flat, tight, 3 * tight)
 
 
-@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("k", range(1, MAX_K_CEILING + 1))
 def test_census_is_a_pure_value(k):
-    assert census(k) == census(k)
-    assert hash(census(k)) == hash(census(k))
+    report = census(k, max_k=MAX_K_CEILING)
+    assert report == census(k, max_k=MAX_K_CEILING)
+    assert hash(report) == hash(census(k, max_k=MAX_K_CEILING))
     assert CensusReport._fields == ("k", "flat", "tight", "loose")
-    assert census(k) == CensusReport(k, *closed_form_counts(k))
+    assert report == CensusReport(k, *report.counts) == (k, *report.counts)
 
 
 def test_report_outputs_for_k2():
@@ -143,7 +137,7 @@ class _Int(int):
 
 @pytest.mark.parametrize("k", [2.0, True, False, -1, "2", None, np.int64(2), _Index(), _Int(3)])
 def test_widths_must_be_naturals(k):
-    for call in (census, census_closed_form_check, closed_form_counts):
+    for call in (census, census_closed_form_check):
         with pytest.raises(ValueError):
             call(k)
 
@@ -156,4 +150,6 @@ def test_width_check_keeps_its_messages():
     with pytest.raises(CapExceeded, match=r"^census k=8 exceeds cap 7$"):
         census(8)
     with pytest.raises(CapExceeded, match=r"^census k=3 exceeds cap 2$"):
-        census_closed_form_check(3, max_k=2)
+        census(3, max_k=2)
+    with pytest.raises(CapExceeded, match=r"^census check k=11 exceeds cap 10$"):
+        census_closed_form_check(11)

@@ -282,6 +282,16 @@ def test_max_k_env_out_of_range_is_usage_error(capsys, monkeypatch, raw):
     assert "0..16" in err
 
 
+def test_long_max_k_env_is_echoed_short(capsys, monkeypatch):
+    monkeypatch.setenv("NIM_TRIPLE_MAX_K", "9" * 5000)
+    code, out, err = run(capsys, "census", "8")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: NIM_TRIPLE_MAX_K must be an integer in 0..16,"
+        " got '99999999999999999999'...(5000 chars)\n"
+    )
+
+
 def test_max_k_env_range_ends(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("NIM_TRIPLE_MAX_K", "0")
     assert run(capsys, "census", "1")[0] == 3

@@ -114,7 +114,6 @@ calls = dict(
     census_closed_form_check=lambda: nt.census_closed_form_check(3),
     classify_triangle=lambda: nt.classify_triangle(5, 1, 2),
     classify_vertex=lambda: nt.classify_vertex(5, 1, 2),
-    closed_form_counts=lambda: nt.closed_form_counts(3),
     exclusion_set=lambda: sorted(nt.exclusion_set(2, 3)),
     greedy_minimal_table=lambda: nt.greedy_minimal_table(4),
     mex_oracle=lambda: nt.mex_oracle(2, 3),

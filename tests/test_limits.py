@@ -13,14 +13,13 @@ from nimtriples import (
     census,
     census_closed_form_check,
     classification_grid,
-    closed_form_counts,
     mex_oracle,
     render_pgm,
 )
 from nimtriples.cli import main
 from nimtriples.limits import CENSUS_CHECK_MAX_K, DEFAULT_RENDER_MAX_K, TABLE_MAX_N
 
-WIDTH_CHECKED = [census, census_closed_form_check, classification_grid, render_pgm]
+WIDTH_CHECKED = [census, classification_grid, render_pgm]
 
 
 def _no_kernel(*args):
@@ -31,29 +30,33 @@ def _refused(monkeypatch, call, **max_k) -> str:
     """The ValueError message of a width-checked ``call`` at k=1, with the kernel blocked."""
     monkeypatch.setattr(_kernel, "pieces", _no_kernel)
     monkeypatch.setattr(_kernel, "count", _no_kernel)
-    args = (1,) if call in (census, census_closed_form_check) else (1, 0)
+    args = (1,) if call is census else (1, 0)
     with pytest.raises(ValueError) as exc:
         call(*args, **max_k)
     return str(exc.value)
 
 
-@pytest.mark.parametrize("max_k", [-1, 17, True, 2.5, "7", 1 << 40])
+WIDE = (1 << 16000) - 1  # 16000 bits: too long for the interpreter to print in decimal
+LONG_RAW = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "max_k", [-1, 17, True, 2.5, "7", 1 << 40, pytest.param(WIDE, id="16000-bit")]
+)
 @pytest.mark.parametrize("call", WIDTH_CHECKED)
 def test_max_k_outside_the_ceiling_is_refused_before_any_work(monkeypatch, call, max_k):
     message = _refused(monkeypatch, call, max_k=max_k)
-    assert message == f"max_k must be an integer in 0..16, got {max_k!r}"
+    got = "<16000-bit number>" if max_k is WIDE else repr(max_k)
+    assert message == f"max_k must be an integer in 0..16, got {got}"
 
 
 def test_max_k_range_ends_are_accepted():
     assert census(3, max_k=16).k == 3
-    assert census_closed_form_check(2, max_k=16)
     assert classification_grid(3, 5, max_k=16).shape == (8, 8)
     assert render_pgm(0, 0, max_k=0) == b"P5\n1 1\n255\n\xff"
     assert classification_grid(0, 0, max_k=0).shape == (1, 1)
     with pytest.raises(CapExceeded, match=r"^census k=1 exceeds cap 0$"):
         census(1, max_k=0)
-    with pytest.raises(CapExceeded, match=r"^census k=1 exceeds cap 0$"):
-        census_closed_form_check(1, max_k=0)
 
 
 def test_max_k_wins_over_the_environment(monkeypatch):
@@ -64,12 +67,17 @@ def test_max_k_wins_over_the_environment(monkeypatch):
 
 
 # "+7", "1_0" and an Arabic-Indic seven are outside parse_natural's grammar, though int() takes them
-@pytest.mark.parametrize("raw", ["-1", "17", "banana", "", "2.5", "True", "+7", "1_0", "\u0667"])
+@pytest.mark.parametrize(
+    "raw",
+    ["-1", "17", "banana", "", "2.5", "True", "+7", "1_0", "\u0667"]
+    + [pytest.param(LONG_RAW, id="5000-nines")],
+)
 @pytest.mark.parametrize("call", WIDTH_CHECKED)
 def test_environment_cap_keeps_its_message(monkeypatch, call, raw):
     monkeypatch.setenv("NIM_TRIPLE_MAX_K", raw)
     message = _refused(monkeypatch, call)
-    assert message == f"NIM_TRIPLE_MAX_K must be an integer in 0..16, got {raw!r}"
+    got = "'99999999999999999999'...(5000 chars)" if raw is LONG_RAW else repr(raw)
+    assert message == f"NIM_TRIPLE_MAX_K must be an integer in 0..16, got {got}"
 
 
 @pytest.mark.parametrize("raw", ["0x8", "0b1000", " 8 "])
@@ -79,23 +87,44 @@ def test_environment_cap_takes_the_argument_grammar(monkeypatch, raw):
     assert main(["census", "8"]) == 0
 
 
-@pytest.mark.parametrize("k", [CENSUS_CHECK_MAX_K + 1, 16])
-def test_census_check_cap_holds_whatever_max_k_says(monkeypatch, k):
+@pytest.mark.parametrize(
+    "k,named", [(CENSUS_CHECK_MAX_K + 1, "11"), (16, "16"), (WIDE, "<16000-bit number>")],
+    ids=["11", "16", "16000-bit"],
+)
+def test_census_check_cap_holds_whatever_max_k_says(monkeypatch, k, named):
     # 8**k triples: at k=16 the sweep would run for days, so it is refused before it starts
     monkeypatch.setattr(_kernel, "count", _no_kernel)
-    message = rf"^census check k={k} exceeds cap {CENSUS_CHECK_MAX_K}$"
-    with pytest.raises(CapExceeded, match=message):
-        census_closed_form_check(k, max_k=16)
-    monkeypatch.setenv("NIM_TRIPLE_MAX_K", "16")
-    with pytest.raises(CapExceeded, match=message):
-        census_closed_form_check(k)
-    assert census(k).k == k  # the counted census is O(k) and keeps the wider cap
+    message = rf"^census check k={named} exceeds cap {CENSUS_CHECK_MAX_K}$"
+    for raw in (None, "16", "banana"):
+        if raw is None:
+            monkeypatch.delenv("NIM_TRIPLE_MAX_K", raising=False)
+        else:
+            monkeypatch.setenv("NIM_TRIPLE_MAX_K", raw)
+        with pytest.raises(CapExceeded, match=message):
+            census_closed_form_check(k)
+    if k <= 16:
+        assert census(k, max_k=16).k == k  # the counted census is O(k) and keeps the wider cap
+
+
+@pytest.mark.parametrize("raw", [None, "2", "banana"])
+def test_census_check_reads_no_environment(monkeypatch, raw):
+    if raw is None:
+        monkeypatch.delenv("NIM_TRIPLE_MAX_K", raising=False)
+    else:
+        monkeypatch.setenv("NIM_TRIPLE_MAX_K", raw)
+    assert census_closed_form_check(8)
+
+
+def test_census_check_takes_no_max_k():
+    with pytest.raises(TypeError):
+        census_closed_form_check(3, max_k=2)
 
 
 def test_census_check_runs_at_its_cap(monkeypatch):
-    monkeypatch.setattr(_kernel, "count", closed_form_counts)  # the sweep itself takes seconds
+    # the sweep itself takes seconds at k=10; the counted census stands in for it
+    monkeypatch.setattr(_kernel, "count", lambda k: census(k, max_k=16).counts)
     assert CENSUS_CHECK_MAX_K == 10
-    assert census_closed_form_check(CENSUS_CHECK_MAX_K, max_k=16)
+    assert census_closed_form_check(CENSUS_CHECK_MAX_K)
 
 
 def _traced_peak(call, *args, **kwargs) -> int:
