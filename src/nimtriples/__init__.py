@@ -9,28 +9,11 @@ checked by an exhaustive sweep.  Every claim is small enough to verify by
 full enumeration, and the test suite does.
 """
 
-from .advisor import Move, advise_move, winning_moves
+import sys
+
+# Eager: the function ``census`` shares its submodule's name, and a lazy binding
+# would let ``import nimtriples.census`` replace the function with the module.
 from .census import CensusReport, census, census_closed_form_check
-from .limits import MEX_ENUMERATION_CAP, CapExceeded
-from .mex import (
-    exclusion_set,
-    greedy_minimal_table,
-    mex_oracle,
-    table_to_text,
-    verify_table_equals_xor,
-)
-from .natural import bit, nim_sum, parse_natural, require_natural
-from .render import GRAY_LEVELS, classification_grid, render_pgm
-from .triangles import (
-    CASE_TABLE,
-    TriangleClass,
-    TriangleClassification,
-    VertexStatus,
-    case_table_lookup,
-    classify_triangle,
-    classify_vertex,
-    reorder_dominant,
-)
 
 __version__ = "0.1.0"
 
@@ -64,3 +47,59 @@ __all__ = [
     "verify_table_equals_xor",
     "winning_moves",
 ]
+
+# The home submodule of every other public name, and of each submodule that a
+# plain ``import nimtriples`` makes reachable (a submodule is its own home).
+# ``__getattr__`` imports it on first use, so a CLI command loads only the
+# modules it runs.
+_HOMES = {
+    "_kernel": "_kernel",
+    "advisor": "advisor",
+    "Move": "advisor",
+    "advise_move": "advisor",
+    "winning_moves": "advisor",
+    "limits": "limits",
+    "CapExceeded": "limits",
+    "MEX_ENUMERATION_CAP": "limits",
+    "mex": "mex",
+    "exclusion_set": "mex",
+    "greedy_minimal_table": "mex",
+    "mex_oracle": "mex",
+    "table_to_text": "mex",
+    "verify_table_equals_xor": "mex",
+    "natural": "natural",
+    "bit": "natural",
+    "nim_sum": "natural",
+    "parse_natural": "natural",
+    "require_natural": "natural",
+    "render": "render",
+    "GRAY_LEVELS": "render",
+    "classification_grid": "render",
+    "render_pgm": "render",
+    "triangles": "triangles",
+    "CASE_TABLE": "triangles",
+    "TriangleClass": "triangles",
+    "TriangleClassification": "triangles",
+    "VertexStatus": "triangles",
+    "case_table_lookup": "triangles",
+    "classify_triangle": "triangles",
+    "classify_vertex": "triangles",
+    "reorder_dominant": "triangles",
+}
+
+
+def __getattr__(name: str):
+    """The public name or submodule ``name``, imported on first use and then cached here."""
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, not importlib.import_module, so that -X importtime lists the submodule
+    __import__(f"{__name__}.{home}")
+    module = sys.modules[f"{__name__}.{home}"]
+    value = module if home == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

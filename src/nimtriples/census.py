@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import _kernel
-from .limits import CENSUS_CHECK_MAX_K, CapExceeded, checked_width, shown
-from .natural import require_natural
+from .limits import CENSUS_CHECK_MAX_K, CapExceeded, checked_width
+from .natural import require_natural, shown
 
 __all__ = ["CensusReport", "census", "census_closed_form_check"]
 
@@ -55,7 +54,9 @@ def census_closed_form_check(k: int) -> bool:
     bytes.  Its one cap is CENSUS_CHECK_MAX_K, which bounds its time, and
     ``k`` is checked in full before the sweep starts.
     """
+    from ._kernel import count  # only the check sweeps, so only the check loads the kernel
+
     k = require_natural(k)
     if k > CENSUS_CHECK_MAX_K:
         raise CapExceeded(f"census check k={shown(k)} exceeds cap {CENSUS_CHECK_MAX_K}")
-    return census(k, max_k=CENSUS_CHECK_MAX_K).counts == _kernel.count(k)
+    return census(k, max_k=CENSUS_CHECK_MAX_K).counts == count(k)

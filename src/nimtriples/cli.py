@@ -16,18 +16,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 from collections.abc import Callable, Iterator
 
-from .advisor import advise_move, winning_moves
-from .census import census, census_closed_form_check
-from .limits import DECIMAL_DIGITS, CapExceeded, _token
-from .mex import greedy_minimal_table, mex_oracle, table_to_text, verify_table_equals_xor
-from .natural import nim_sum, parse_natural
-from .render import render_pgm
-from .triangles import classify_triangle, reorder_dominant
+# Every parse needs these two; each command imports the rest of the library
+# in its own body, so a process loads only the modules its command runs.
+from .limits import DECIMAL_DIGITS, CapExceeded
+from .natural import _token, nim_sum, parse_natural
 
 __all__ = ["build_parser", "main"]
 
@@ -187,6 +183,8 @@ def _run_sum(args: argparse.Namespace) -> _Result:
 
 
 def _run_classify(args: argparse.Namespace) -> _Result:
+    from .triangles import classify_triangle
+
     result = classify_triangle(args.a, args.b, args.c)
     parts = [result.kind.value]
     payload: dict = {"class": result.kind.value}
@@ -200,17 +198,23 @@ def _run_classify(args: argparse.Namespace) -> _Result:
 
 
 def _run_reorder(args: argparse.Namespace) -> _Result:
+    from .triangles import reorder_dominant
+
     triple, perm = reorder_dominant(args.a, args.b, args.c)
     payload = {"triple": list(triple), "perm": list(perm)}
     return payload, lambda: "{} {} {} perm={},{},{}".format(*triple, *perm), 0
 
 
 def _run_mex(args: argparse.Namespace) -> _Result:
+    from .mex import mex_oracle
+
     value = mex_oracle(args.a, args.b)
     return {"value": value}, lambda: str(value), 0
 
 
 def _run_table(args: argparse.Namespace) -> _Result:
+    from .mex import greedy_minimal_table, table_to_text, verify_table_equals_xor
+
     rows = greedy_minimal_table(args.n)
     if not args.verify:
         return {"n": args.n, "rows": rows}, lambda: table_to_text(rows), 0
@@ -224,6 +228,8 @@ def _run_table(args: argparse.Namespace) -> _Result:
 
 
 def _run_move(args: argparse.Namespace) -> _Result:
+    from .advisor import advise_move, winning_moves
+
     if args.all:
         moves = winning_moves(args.piles)
         payload = {"moves": [{"pile": m.pile, "new": m.new_size} for m in moves]}
@@ -238,6 +244,8 @@ def _run_move(args: argparse.Namespace) -> _Result:
 
 
 def _run_census(args: argparse.Namespace) -> _Result:
+    from .census import census, census_closed_form_check
+
     report = census(args.k)
     text = report.to_line()
     payload = report._asdict()
@@ -269,6 +277,8 @@ def _write_replacing(path: str, data: bytes) -> None:
 
 
 def _run_render(args: argparse.Namespace) -> _Result:
+    from .render import render_pgm
+
     data = render_pgm(args.k, args.c)
     try:
         _write_replacing(args.out, data)
@@ -290,7 +300,11 @@ def _format(payload: dict, text: Callable[[], str], as_json: bool) -> str:
     is printed.
     """
     try:
-        return json.dumps(payload) if as_json else text()
+        if as_json:
+            import json  # only --json needs it
+
+            return json.dumps(payload)
+        return text()
     except ValueError:
         widest = max(_integers(payload), default=0)
         raise CapExceeded(

@@ -1,11 +1,10 @@
-"""Enumeration caps of every operation, and the one rule for echoing a refused value."""
+"""Enumeration caps of every operation, and the one check of a bit width against its cap."""
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
 
-from .natural import parse_natural, require_natural
+from .natural import _echo, parse_natural, require_natural, shown
 
 # The exclusion set holds up to a + b elements; beyond this the oracle refuses
 # and the caller should use the direct XOR instead.
@@ -40,27 +39,6 @@ class CapExceeded(Exception):
     """An enumeration-bounded operation was asked to exceed its cap."""
 
 
-# A refusal or a usage error echoes at most this many characters of a string.
-_TOKEN_SHOWN = 20
-
-
-def _token(text: str, show: Callable[[str], str] = repr) -> str:
-    """``show(text)``, or for a longer token its first characters and its length."""
-    if len(text) <= _TOKEN_SHOWN:
-        return show(text)
-    return f"{show(text[:_TOKEN_SHOWN])}...({len(text)} chars)"
-
-
-def shown(value: int) -> str:
-    """``value`` in decimal for a cap message, or its bit width once it passes 64 bits.
-
-    An operand far past a cap may be too long for the interpreter to print
-    in decimal at all, and the message must not fail while it is built.
-    """
-    bits = value.bit_length()
-    return str(value) if bits <= 64 else f"<{bits}-bit number>"
-
-
 # The least bit width and the default cap of each width-checked operation.
 _WIDTHS = {"census": (1, DEFAULT_CENSUS_MAX_K), "render": (0, DEFAULT_RENDER_MAX_K)}
 
@@ -87,9 +65,8 @@ def checked_width(what: str, k: int, max_k: int | None) -> int:
         except ValueError:
             max_k = None
         if max_k is None or max_k > MAX_K_CEILING:
-            echo = _token if isinstance(given, str) else shown if isinstance(given, int) else repr
             raise ValueError(
-                f"{source} must be an integer in 0..{MAX_K_CEILING}, got {echo(given)}"
+                f"{source} must be an integer in 0..{MAX_K_CEILING}, got {_echo(given)}"
             )
     k = require_natural(k)
     if k < least:

@@ -18,8 +18,8 @@ table_to_text converts each distinct value to decimal once.
 
 from __future__ import annotations
 
-from .limits import MEX_ENUMERATION_CAP, TABLE_MAX_N, CapExceeded, shown
-from .natural import require_natural
+from .limits import MEX_ENUMERATION_CAP, TABLE_MAX_N, CapExceeded
+from .natural import require_natural, shown
 
 __all__ = [
     "exclusion_set",

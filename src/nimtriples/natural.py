@@ -2,13 +2,45 @@
 
 Naturals are plain Python ints restricted to values >= 0.  Python's int is
 already arbitrary precision with a unique (canonical) representation, so this
-module only adds validation, radix handling, and the carry-free addition.
+module only adds validation, radix handling, the carry-free addition, and
+the one rule for echoing a refused value short.
 All functions are pure; values are immutable and safe to share.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 __all__ = ["bit", "nim_sum", "parse_natural", "require_natural"]
+
+# A refusal or a usage error echoes at most this many characters of a string.
+_TOKEN_SHOWN = 20
+
+
+def _token(text: str, show: Callable[[str], str] = repr) -> str:
+    """``show(text)``, or its first characters and its length when that is shorter."""
+    whole = show(text)
+    cut = f"{show(text[:_TOKEN_SHOWN])}...({len(text)} chars)"
+    return whole if len(whole) <= len(cut) else cut
+
+
+def shown(value: int) -> str:
+    """``value`` in decimal for a message, or its sign and bit width once it passes 64 bits.
+
+    An operand far past a cap may be too long for the interpreter to print
+    in decimal at all, and the message must not fail while it is built.
+    """
+    bits = value.bit_length()
+    return str(value) if bits <= 64 else f"{'-' if value < 0 else ''}<{bits}-bit number>"
+
+
+def _echo(value) -> str:
+    """A refused value, short: a str by ``_token``, an int by ``shown``, else its repr cut."""
+    if isinstance(value, str):
+        return _token(value)
+    if type(value) is int:
+        return shown(value)
+    return _token(repr(value), str)
 
 
 def require_natural(value) -> int:
@@ -18,9 +50,9 @@ def require_natural(value) -> int:
     or any other object with ``__index__`` is refused, not converted.
     """
     if type(value) is not int:
-        raise ValueError(f"not an integer: {value!r}")
+        raise ValueError(f"not an integer: {_echo(value)}")
     if value < 0:
-        raise ValueError(f"not a natural number: {value}")
+        raise ValueError(f"not a natural number: {shown(value)}")
     return value
 
 
@@ -50,7 +82,7 @@ def parse_natural(text: str) -> int:
             return int(digits, base)
         except ValueError:
             pass
-    raise ValueError(f"not a natural number: {text!r}")
+    raise ValueError(f"not a natural number: {_echo(text)}")
 
 
 def nim_sum(a: int, b: int) -> int:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import nimtriples
 from nimtriples.cli import main
 from nimtriples.limits import DECIMAL_DIGITS
 
@@ -292,6 +293,14 @@ def test_long_max_k_env_is_echoed_short(capsys, monkeypatch):
     )
 
 
+def test_max_k_env_is_cut_only_where_that_is_shorter(capsys, monkeypatch):
+    # cut, 30 nines would read '99999999999999999999'...(30 chars), 3 characters longer
+    monkeypatch.setenv("NIM_TRIPLE_MAX_K", "9" * 30)
+    code, out, err = run(capsys, "census", "8")
+    assert (code, out) == (2, "")
+    assert err == f"error: NIM_TRIPLE_MAX_K must be an integer in 0..16, got '{'9' * 30}'\n"
+
+
 def test_max_k_env_range_ends(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("NIM_TRIPLE_MAX_K", "0")
     assert run(capsys, "census", "1")[0] == 3
@@ -482,8 +491,11 @@ def test_help_with_fd_2_closed_goes_to_stdout(argv):
 )
 def test_failed_check_prints_its_verdict_and_exits_1(capsys, monkeypatch, argv, text, payload):
     # neither check can fail on correct code, so both are made to fail here
-    monkeypatch.setattr("nimtriples.cli.verify_table_equals_xor", lambda rows: (False, (2, 3)))
-    monkeypatch.setattr("nimtriples.cli.census_closed_form_check", lambda k: False)
+    # each command imports its check from the home module when it runs; the
+    # package attribute ``census`` is the function, so that module comes from sys.modules
+    monkeypatch.setattr(nimtriples.mex, "verify_table_equals_xor", lambda rows: (False, (2, 3)))
+    census_module = sys.modules["nimtriples.census"]
+    monkeypatch.setattr(census_module, "census_closed_form_check", lambda k: False)
     assert run(capsys, *argv) == (1, text + "\n", "")
     code, out, err = run(capsys, "--json", *argv)
     assert (code, json.loads(out), err) == (1, payload, "")

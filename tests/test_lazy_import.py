@@ -4,6 +4,8 @@ Without numpy, which the ``grid`` extra installs, everything else still runs.
 
 The kernel builds grids in plain bytes, so every command starts and runs
 without numpy, and ``import nimtriples`` leaves ``dataclasses`` unloaded.
+The package resolves its other public names on first use, so a command
+loads only the submodules it runs, and ``json`` only under ``--json``.
 
 Each check runs in a fresh interpreter, because the test process has loaded
 numpy long before.  Nothing here asserts a timing.
@@ -17,6 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from nimtriples.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "nimtriples"
@@ -33,8 +37,8 @@ print(json.dumps([after_import, code, out.getvalue(), "numpy" in sys.modules]))
 """
 
 
-def fresh(code, *args, cwd=None):
-    """JSON printed by ``code`` run in a new interpreter that imports from src."""
+def fresh(code, *args, cwd=None, read=json.loads):
+    """``read`` of what ``code`` printed, run in a new interpreter that imports from src."""
     env = {k: v for k, v in os.environ.items() if k != "NIM_TRIPLE_MAX_K"}
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
@@ -46,7 +50,7 @@ def fresh(code, *args, cwd=None):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return read(proc.stdout)
 
 
 def run_child(argv, tmp_path):
@@ -164,6 +168,142 @@ def test_everything_but_classification_grid_runs_without_numpy(tmp_path):
     with_numpy = fresh(_PUBLIC_CALLS, cwd=loaded)
     assert with_numpy[2:5] == [values, commands, [None, None]]
     assert (blocked / "r.pgm").read_bytes() == (loaded / "r.pgm").read_bytes()
+
+
+# The modules that only some commands load.  The child prints with repr, not
+# json, because json is one of them.
+_OPTIONAL = {"json"} | {
+    f"nimtriples.{name}" for name in ("triangles", "advisor", "mex", "render", "_kernel")
+}
+
+_MODULES_CHILD = """
+import contextlib, io, sys
+before = set(sys.modules)
+from nimtriples.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(repr([sorted(set(sys.modules) - before), code, out.getvalue()]))
+"""
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    ("argv", "loads"),
+    [
+        (["sum", "5", "3"], set()),
+        (["classify", "5", "1", "2"], {"triangles"}),
+        (["reorder", "1", "2", "7"], {"triangles"}),
+        (["move", "5", "1", "2"], {"advisor"}),
+        (["move", "2", "2", "3", "--all"], {"advisor"}),
+        (["mex", "2", "3"], {"mex"}),
+        (["table", "4"], {"mex"}),
+        (["table", "4", "--verify"], {"mex"}),
+        (["census", "3"], set()),
+        (["census", "3", "--check-closed-form"], {"_kernel"}),
+        (["render", "2", "5", "--out", "r.pgm"], {"render", "triangles", "_kernel"}),
+    ],
+    ids=[
+        "sum", "classify", "reorder", "move", "move-all", "mex", "table", "table-verify",
+        "census", "census-check", "render",
+    ],
+)
+def test_command_loads_only_its_own_modules(tmp_path, capsys, monkeypatch, argv, loads, as_json):
+    argv = ["--json", *argv] if as_json else argv
+    added, code, out = fresh(_MODULES_CHILD, *argv, cwd=tmp_path, read=ast.literal_eval)
+    expected = {f"nimtriples.{name}" for name in loads} | ({"json"} if as_json else set())
+    assert set(added) & _OPTIONAL == expected
+    # the same bytes as a run in this process, where every module is loaded
+    monkeypatch.chdir(tmp_path)
+    assert (code, out) == (main(argv), capsys.readouterr().out)
+
+
+# The home submodule of each public name, where ``from nimtriples import name`` finds it.
+_HOMES = {
+    "_kernel": [],
+    "advisor": ["Move", "advise_move", "winning_moves"],
+    "census": ["CensusReport", "census", "census_closed_form_check"],
+    "limits": ["CapExceeded", "MEX_ENUMERATION_CAP"],
+    "mex": [
+        "exclusion_set", "greedy_minimal_table", "mex_oracle", "table_to_text",
+        "verify_table_equals_xor",
+    ],
+    "natural": ["bit", "nim_sum", "parse_natural", "require_natural"],
+    "render": ["GRAY_LEVELS", "classification_grid", "render_pgm"],
+    "triangles": [
+        "CASE_TABLE", "TriangleClass", "TriangleClassification", "VertexStatus",
+        "case_table_lookup", "classify_triangle", "classify_vertex", "reorder_dominant",
+    ],
+}
+
+# Checks of the package's names after ``{first}``, the import that runs first.
+_NAMES_CHILD = """
+{first}
+import importlib, sys, types
+import nimtriples
+wrong = [
+    name
+    for home, names in {homes!r}.items()
+    for name in names
+    if getattr(nimtriples, name) is not getattr(sys.modules["nimtriples." + home], name)
+]
+submodules = [
+    getattr(nimtriples, home) is importlib.import_module("nimtriples." + home)
+    for home in {homes!r} if home != "census"
+]
+star = {{}}
+exec("from nimtriples import *", star)
+print(repr([
+    wrong,
+    all(submodules),
+    nimtriples.census is sys.modules["nimtriples.census"].census,
+    isinstance(nimtriples.census, types.FunctionType),
+    sorted(set(star) - {{"__builtins__"}}),
+    set(nimtriples.__all__) <= set(dir(nimtriples)),
+    "__all__" in dir(nimtriples),
+]))
+"""
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        "",
+        "import nimtriples.census",
+        "from nimtriples.census import CensusReport",
+        "from nimtriples.census import census",
+        "import nimtriples.mex",
+        "from nimtriples.mex import mex_oracle",
+        "import nimtriples.triangles",
+        "from nimtriples.render import render_pgm",
+        "import nimtriples._kernel",
+        "from nimtriples import advisor",
+        "import nimtriples.limits",
+        "import nimtriples.natural",
+        "import nimtriples.cli",
+    ],
+)
+def test_every_public_name_is_its_home_module_object(first):
+    public = sorted(name for names in _HOMES.values() for name in names)
+    assert len(public) == 28
+    code = _NAMES_CHILD.format(first=first, homes=_HOMES)
+    assert fresh(code, read=ast.literal_eval) == [[], True, True, True, public, True, True]
+
+
+def test_submodules_and_unknown_names_after_a_plain_import():
+    code = """
+import nimtriples
+got = [nimtriples.mex.mex_oracle(2, 3), nimtriples._kernel.__name__]
+got.append(hasattr(nimtriples, "nope"))
+try:
+    nimtriples.nope
+except AttributeError as exc:
+    got.append(str(exc))
+print(repr(got))
+"""
+    assert fresh(code, read=ast.literal_eval) == [
+        1, "nimtriples._kernel", False, "module 'nimtriples' has no attribute 'nope'"
+    ]
 
 
 def test_import_leaves_dataclasses_unloaded():

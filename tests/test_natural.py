@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nimtriples import bit, nim_sum, parse_natural, require_natural
+from nimtriples import bit, census, nim_sum, parse_natural, require_natural
 
 naturals = st.integers(min_value=0)
 wide = st.integers(min_value=1 << 64, max_value=(1 << 192) - 1)
@@ -95,6 +95,39 @@ def test_require_natural_rejects_non_integers():
         with pytest.raises(ValueError, match=rf"^not an integer: {re.escape(repr(value))}$"):
             require_natural(value)
     assert require_natural(0) == 0
+
+
+WIDE_NEGATIVE = -(1 << 16000)  # too long for the interpreter to print in decimal
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: nim_sum(WIDE_NEGATIVE, 0), "not a natural number: -<16001-bit number>"),
+        (lambda: census(WIDE_NEGATIVE), "not a natural number: -<16001-bit number>"),
+        (lambda: census("9" * 5000), "not an integer: '99999999999999999999'...(5000 chars)"),
+        (
+            lambda: require_natural([0] * 100000),
+            "not an integer: [0, 0, 0, 0, 0, 0, 0...(300000 chars)",
+        ),
+        (
+            lambda: parse_natural("9" * 5000 + "x"),
+            "not a natural number: '99999999999999999999'...(5001 chars)",
+        ),
+        (lambda: parse_natural(WIDE_NEGATIVE), "not a natural number: -<16001-bit number>"),
+        (lambda: nim_sum(-5, 0), "not a natural number: -5"),
+        (lambda: require_natural(-(1 << 64) + 1), f"not a natural number: {-(1 << 64) + 1}"),
+        (lambda: require_natural("7"), "not an integer: '7'"),
+    ],
+    ids=[
+        "nim_sum-wide", "census-wide", "census-long-str", "require-long-list",
+        "parse-long", "parse-wide-int", "short-negative", "64-bit-negative", "short-str",
+    ],
+)
+def test_refusal_echoes_the_value_short(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_bit_examples():
