@@ -38,8 +38,8 @@ def _echo(value) -> str:
     """A refused value, short: a str by ``_token``, an int by ``shown``, else its repr cut."""
     if isinstance(value, str):
         return _token(value)
-    if type(value) is int:
-        return shown(value)
+    if type(value) is int or isinstance(value, int) and int.bit_length(value) > 64:
+        return shown(int(value))
     return _token(repr(value), str)
 
 

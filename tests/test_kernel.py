@@ -1,5 +1,6 @@
 """The byte-grid kernel against classify_triangle and the case table."""
 
+import hashlib
 import random
 from itertools import product
 
@@ -73,9 +74,35 @@ def test_render_rows_at_k12_match_classify():
             assert row == want, (c, a)
 
 
-def test_pieces_split_each_top_row_in_two():
-    for k in range(1, 6):
+def test_each_row_is_loose_cells_then_flat_then_tight_where_s_has_a_1():
+    # the row lemma, cell by cell: row x depends on u = s ^ x alone
+    for k in range(7):
         n = 1 << k
         for s in range(n):
+            cells = b"".join(_kernel.pieces(k, s, 0, 1, 2))
+            for x in range(n):
+                u = s ^ x
+                tail = bytes(1 if bit(s, (u ^ y).bit_length() - 1) else 2 for y in range(u + 1, n))
+                assert cells[x * n : (x + 1) * n] == bytes([2]) * u + bytes([0]) + tail, (k, s, x)
+
+
+def test_pieces_are_few_and_none_as_long_as_a_row():
+    for k in range(1, 9):
+        n, m = 1 << k, 1 << k // 2
+        for s in range(n):
             cells = _kernel.pieces(k, s, 0, 1, 2)
-            assert [len(piece) for piece in cells] == [n // 2] * (2 * n)
+            assert len(cells) == 2 * n + (1 << k - k // 2), (k, s)
+            assert max(map(len, cells)) <= n - m, (k, s)
+
+
+@pytest.mark.parametrize(
+    ("k", "c", "digest"),
+    [
+        (12, 5, "8f6127b5b1c6efd217871db4e6b42fc3fbd0dc6c5531cab6c317ea7eb7b20c7b"),
+        (12, 1365, "ed21c160cee88d4bd02dc3c4fda1adfdf37efc1cbf08b577ac9a7736970be951"),
+        (7, 100, "ea9f108403bbdfb82d92dfadf3d39037abfb041aa5e1e00e89f8ec4647e32d1e"),
+        (12, 4096, "baf60d651c50311c57c4b60415ba7f8af78ac46489f8a89e3ccbc7f7413f8367"),
+    ],
+)
+def test_render_bytes_are_pinned(k, c, digest):
+    assert hashlib.sha256(render_pgm(k, c)).hexdigest() == digest

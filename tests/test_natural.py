@@ -100,6 +100,10 @@ def test_require_natural_rejects_non_integers():
 WIDE_NEGATIVE = -(1 << 16000)  # too long for the interpreter to print in decimal
 
 
+class _Int(int):
+    """An int subclass, refused like any other non-int, whose repr is the int's."""
+
+
 @pytest.mark.parametrize(
     ("call", "message"),
     [
@@ -118,10 +122,13 @@ WIDE_NEGATIVE = -(1 << 16000)  # too long for the interpreter to print in decima
         (lambda: nim_sum(-5, 0), "not a natural number: -5"),
         (lambda: require_natural(-(1 << 64) + 1), f"not a natural number: {-(1 << 64) + 1}"),
         (lambda: require_natural("7"), "not an integer: '7'"),
+        (lambda: require_natural(_Int(1 << 16000)), "not an integer: <16001-bit number>"),
+        (lambda: require_natural(_Int(5)), "not an integer: 5"),
     ],
     ids=[
         "nim_sum-wide", "census-wide", "census-long-str", "require-long-list",
         "parse-long", "parse-wide-int", "short-negative", "64-bit-negative", "short-str",
+        "wide-int-subclass", "narrow-int-subclass",
     ],
 )
 def test_refusal_echoes_the_value_short(call, message):
