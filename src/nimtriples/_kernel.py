@@ -27,6 +27,8 @@ built before the caller joins them.
 
 from __future__ import annotations
 
+from collections import Counter
+
 __all__ = ["count", "pieces"]
 
 
@@ -61,11 +63,16 @@ def pieces(k: int, s: int, flat: int, tight: int, loose: int) -> list[bytes]:
 
 
 def count(k: int) -> tuple[int, int, int]:
-    """Flat, tight and loose tallies over every triple in [0, 2**k)^3, one a-slice at a time."""
+    """Flat, tight and loose tallies over every triple in [0, 2**k)^3, one a-slice at a time.
+
+    Each distinct piece of a slice is counted once and weighed by how often
+    it occurs: ``after + before`` repeats in every run, and each small row
+    once per run.
+    """
     flat = tight = loose = 0
     for a in range(1 << k):
-        cells = b"".join(pieces(k, a, 0, 1, 2))
-        flat += cells.count(0)
-        tight += cells.count(1)
-        loose += cells.count(2)
+        for piece, times in Counter(pieces(k, a, 0, 1, 2)).items():
+            flat += piece.count(0) * times
+            tight += piece.count(1) * times
+            loose += piece.count(2) * times
     return flat, tight, loose

@@ -258,17 +258,17 @@ def _run_census(args: argparse.Namespace) -> _Result:
     return payload, lambda: text, code
 
 
-def _write_replacing(path: str, data: bytes) -> None:
-    """Write ``data`` to a new file beside ``path``, then rename it over ``path``.
+def _write_replacing(path: str, chunks: list[bytes]) -> None:
+    """Write ``chunks`` end to end to a new file beside ``path``, then rename it over ``path``.
 
     A write that fails part way removes the new file, so ``path`` is either
-    left as it was or holds all of ``data``, never a truncated copy.
+    left as it was or holds all of the chunks, never a truncated copy.
     """
     scratch = f"{path}.{os.getpid()}.tmp"
     handle = open(scratch, "xb")
     try:
         with handle:
-            handle.write(data)
+            handle.writelines(chunks)
         os.replace(scratch, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -277,11 +277,12 @@ def _write_replacing(path: str, data: bytes) -> None:
 
 
 def _run_render(args: argparse.Namespace) -> _Result:
-    from .render import render_pgm
+    from .render import _pgm_chunks
 
-    data = render_pgm(args.k, args.c)
+    # written piece by piece: joined, a k=12 PGM would be one more 16 MiB object
+    chunks = _pgm_chunks(args.k, args.c)
     try:
-        _write_replacing(args.out, data)
+        _write_replacing(args.out, chunks)
     except OSError as exc:
         # strerror alone: the OSError may name the temporary file, whose name holds the pid
         raise _FileUnwritable(f"cannot write {args.out}: {exc.strerror}") from None

@@ -9,11 +9,13 @@ keeps all rows and columns repetition-free reproduces the XOR table entry
 for entry.  Repetition-free rows and columns are unique solvability of
 equations, which is why XOR is the smallest such binary operation.  The
 greedy table is symmetric by its own recurrence, so the fill computes the
-upper triangle and mirrors it; the greedy route still checks the XOR
-theorem, because verify_table_equals_xor compares all n * n cells.  It
-compares them a row at a time with expected XOR rows that are built by
-swapping aligned blocks of earlier rows, never by a XOR per cell, and
-table_to_text converts each distinct value to decimal once.
+upper triangle and builds each row's mirrored prefix from the rows above
+it, once per row.  No value of the table passes 2n - 2, so its cells share
+the int objects of one list of 2n - 1 values.  The greedy route still
+checks the XOR theorem, because verify_table_equals_xor compares all
+n * n cells.  It compares them a row at a time with expected XOR rows that
+are built by swapping aligned blocks of earlier rows, never by a XOR per
+cell, and table_to_text converts each distinct value to decimal once.
 """
 
 from __future__ import annotations
@@ -110,33 +112,52 @@ def greedy_minimal_table(n: int) -> list[list[int]]:
     (a, b).  Equal sets have equal mexes.  The proof uses the recurrence
     alone, never XOR.
 
-    Hence only the cells with b >= a are computed, each written to (a, b)
-    and (b, a).  col_used[b] holds the values of column b above the current
-    row; at the start of row a, col_used[a] holds T[x][a] for x < a, which
-    by symmetry is row a's own prefix, so the row mask starts from it.
-    Greedy choice per cell: the lowest clear bit of the union of the row
-    and column occupancy masks; used ^ (used + 1) is that bit and the set
-    bits below it, so its bit length less one is the bit's position.  The
-    fill costs n * n cells of memory and about half as many cells of time,
-    so n above TABLE_MAX_N raises CapExceeded before anything is allocated.
+    Hence only the cells with b >= a are computed.  Row a starts as the
+    list [r[a] for r in rows] over the rows already filled, built once per
+    row: T[x][a] for x < a, which by symmetry is row a's own prefix.
+    col_used[b] holds the values of column b above the current row; at the
+    start of row a, col_used[a] holds that same prefix, so the row mask
+    starts from it.  Greedy choice per cell: the lowest clear bit of the
+    union of the row and column occupancy masks; used ^ (used + 1) is that
+    bit and the set bits below it, so its bit length less one is the bit's
+    position.  The row's new column masks replace col_used[a:] in one slice
+    assignment at the end of the row.
+
+    Width: the row and column sets of (a, b) hold the values of b + a
+    earlier cells, so at most a + b members, and the mex of a set of at most
+    a + b naturals is at most a + b <= 2n - 2 (at n = 5 the cell (3, 4)
+    holds 7, past n).  So every value is in range(2n - 1) and every mask
+    fits in 2n - 1 bits, and each cell takes its value from the shared list
+    ``values`` and its mask bit from ``bits``, both indexed by the mex: the
+    table holds at most 2n - 1 distinct int objects, not one for each cell
+    whose value is past the interpreter's small ints.  The fill costs n * n
+    cells of memory and about half as many cells of time, so n above
+    TABLE_MAX_N raises CapExceeded before anything is allocated.
     """
     n = require_natural(n)
     if n < 1:
         raise ValueError(f"table size must be >= 1, got {n}")
     if n > TABLE_MAX_N:
         raise CapExceeded(f"table n={shown(n)} exceeds cap {TABLE_MAX_N}")
+    values = list(range(2 * n - 1))
+    bits = [1 << value for value in values]
     col_used = [0] * n
-    rows = [[0] * n for _ in range(n)]
+    rows = []
     for a in range(n):
-        row = rows[a]
+        row = [r[a] for r in rows]
+        put = row.append
+        masks = []
+        keep = masks.append
         row_used = col_used[a]
-        for b in range(a, n):
-            used = row_used | col_used[b]
+        for col in col_used[a:]:
+            used = row_used | col
             value = (used ^ (used + 1)).bit_length() - 1
-            taken = 1 << value
+            taken = bits[value]
             row_used |= taken
-            col_used[b] |= taken
-            row[b] = rows[b][a] = value
+            put(values[value])
+            keep(col | taken)
+        col_used[a:] = masks
+        rows.append(row)
     return rows
 
 

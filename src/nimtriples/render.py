@@ -53,8 +53,14 @@ def classification_grid(k: int, fixed_c: int, *, max_k: int | None = None) -> np
     return np.frombuffer(bytearray().join(pieces), np.uint8).reshape(n, n)
 
 
-def render_pgm(k: int, fixed_c: int, *, max_k: int | None = None) -> bytes:
-    """Binary PGM (magic P5, maxval 255) of the classification grid."""
+def _pgm_chunks(k: int, fixed_c: int, max_k: int | None = None) -> list[bytes]:
+    """The PGM header, then the grid's pieces: what render_pgm joins and the CLI writes as is."""
     cells = _pieces(k, fixed_c, max_k)
     n = 1 << k
-    return b"".join([f"P5\n{n} {n}\n255\n".encode("ascii"), *cells])
+    cells.insert(0, f"P5\n{n} {n}\n255\n".encode("ascii"))
+    return cells
+
+
+def render_pgm(k: int, fixed_c: int, *, max_k: int | None = None) -> bytes:
+    """Binary PGM (magic P5, maxval 255) of the classification grid."""
+    return b"".join(_pgm_chunks(k, fixed_c, max_k))

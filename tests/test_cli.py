@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import nimtriples
 from nimtriples.cli import main
 from nimtriples.limits import DECIMAL_DIGITS
+from nimtriples.render import render_pgm
 
 
 def run(capsys, *argv):
@@ -223,6 +225,33 @@ def test_render_cap(capsys, tmp_path):
     code, _, err = run(capsys, "render", "13", "0", "--out", str(tmp_path / "x.pgm"))
     assert code == 3
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "k,c", [(k, c) for k in (0, 1, 5, 12) for c in sorted({0, 5 % (1 << k), 1 << k})]
+)
+def test_render_writes_the_bytes_of_render_pgm(capsys, monkeypatch, tmp_path, k, c):
+    # c is 0, below 2**k where k > 0, and 2**k
+    monkeypatch.delenv("NIM_TRIPLE_MAX_K", raising=False)
+    target = tmp_path / "grid.pgm"
+    assert run(capsys, "render", str(k), str(c), "--out", str(target))[0] == 0
+    assert target.read_bytes() == render_pgm(k, c)
+
+
+def test_render_at_its_default_cap_writes_without_joining(capsys, monkeypatch, tmp_path):
+    # the pieces of a k=12 grid hold about 0.6 MiB; the joined PGM would be 16 MiB
+    monkeypatch.delenv("NIM_TRIPLE_MAX_K", raising=False)
+    target = tmp_path / "grid.pgm"
+    tracemalloc.start()
+    try:
+        code = main(["render", "12", "5", "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert target.stat().st_size == 4**12 + len(b"P5\n4096 4096\n255\n")
+    assert peak < 4**12 // 8
 
 
 def test_bad_number_is_usage_error(capsys):

@@ -121,7 +121,7 @@ def test_census_check_takes_no_max_k():
 
 
 def test_census_check_runs_at_its_cap(monkeypatch):
-    # the sweep itself takes seconds at k=10; the counted census stands in for it
+    # the sweep itself takes half a second at k=10; the counted census stands in for it
     monkeypatch.setattr(_kernel, "count", lambda k: census(k, max_k=16).counts)
     assert CENSUS_CHECK_MAX_K == 10
     assert census_closed_form_check(CENSUS_CHECK_MAX_K)
@@ -161,9 +161,10 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
-def test_table_at_its_cap_stays_under_32_bytes_a_cell():
+def test_table_at_its_cap_stays_under_12_bytes_a_cell():
     # tracemalloc slows this fill about 24 times, so a child reports its peak resident size;
-    # the rows hold n * n pointers, 8 bytes a cell, and the cells' int objects
+    # the rows hold n * n pointers, 8 bytes a cell and an eighth more spare, and the cells
+    # share 2n - 1 int objects
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
@@ -175,4 +176,4 @@ def test_table_at_its_cap_stays_under_32_bytes_a_cell():
         timeout=60,
         check=True,
     )
-    assert int(proc.stdout) * 1024 < 32 * TABLE_MAX_N**2
+    assert int(proc.stdout) * 1024 < 12 * TABLE_MAX_N**2

@@ -175,9 +175,16 @@ def _row_major_fill(n):
     return rows
 
 
-@pytest.mark.parametrize("n", [*range(1, 65), 100, 257, 512])
+@pytest.mark.parametrize("n", [*range(1, 65), 100, 257, 512, 1000, 1024])
 def test_symmetric_fill_matches_the_row_major_fill(n):
+    # at n = 1000 the values reach 1023, past n
     assert greedy_minimal_table(n) == _row_major_fill(n)
+
+
+@pytest.mark.parametrize("n", [5, 100, 512])
+def test_greedy_table_shares_at_most_2n_minus_1_int_objects(n):
+    rows = greedy_minimal_table(n)
+    assert len({id(value) for row in rows for value in row}) <= 2 * n - 1
 
 
 def test_verify_table_equals_xor():
