@@ -11,81 +11,29 @@ full enumeration, and the test suite does.
 
 import sys
 
-# Eager: the function ``census`` shares its submodule's name, and a lazy binding
-# would let ``import nimtriples.census`` replace the function with the module.
-from .census import CensusReport, census, census_closed_form_check
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "CASE_TABLE",
-    "CapExceeded",
-    "CensusReport",
-    "GRAY_LEVELS",
-    "MEX_ENUMERATION_CAP",
-    "Move",
-    "TriangleClass",
-    "TriangleClassification",
-    "VertexStatus",
-    "advise_move",
-    "bit",
-    "case_table_lookup",
-    "census",
-    "census_closed_form_check",
-    "classification_grid",
-    "classify_triangle",
-    "classify_vertex",
-    "exclusion_set",
-    "greedy_minimal_table",
-    "mex_oracle",
-    "nim_sum",
-    "parse_natural",
-    "render_pgm",
-    "reorder_dominant",
-    "require_natural",
-    "table_to_text",
-    "verify_table_equals_xor",
-    "winning_moves",
-]
-
-# The home submodule of every other public name, and of each submodule that a
-# plain ``import nimtriples`` makes reachable (a submodule is its own home).
-# ``__getattr__`` imports it on first use, so a CLI command loads only the
-# modules it runs.
-_HOMES = {
-    "_kernel": "_kernel",
-    "advisor": "advisor",
-    "Move": "advisor",
-    "advise_move": "advisor",
-    "winning_moves": "advisor",
-    "limits": "limits",
-    "CapExceeded": "limits",
-    "MEX_ENUMERATION_CAP": "limits",
-    "mex": "mex",
-    "exclusion_set": "mex",
-    "greedy_minimal_table": "mex",
-    "mex_oracle": "mex",
-    "table_to_text": "mex",
-    "verify_table_equals_xor": "mex",
-    "natural": "natural",
-    "bit": "natural",
-    "nim_sum": "natural",
-    "parse_natural": "natural",
-    "require_natural": "natural",
-    "render": "render",
-    "GRAY_LEVELS": "render",
-    "classification_grid": "render",
-    "render_pgm": "render",
-    "triangles": "triangles",
-    "CASE_TABLE": "triangles",
-    "TriangleClass": "triangles",
-    "TriangleClassification": "triangles",
-    "VertexStatus": "triangles",
-    "case_table_lookup": "triangles",
-    "classify_triangle": "triangles",
-    "classify_vertex": "triangles",
-    "reorder_dominant": "triangles",
+# The public names of each submodule, their home.  ``__getattr__`` imports a
+# home on the first use of one of its names or of the submodule itself, so a
+# CLI command loads only the modules it runs.
+_EXPORTS = {
+    "_census": ("CensusReport", "census", "census_closed_form_check"),
+    "_kernel": (),
+    "advisor": ("Move", "advise_move", "winning_moves"),
+    "limits": ("CapExceeded", "MEX_ENUMERATION_CAP"),
+    "mex": (
+        "exclusion_set", "greedy_minimal_table", "mex_oracle", "table_to_text",
+        "verify_table_equals_xor",
+    ),
+    "natural": ("bit", "nim_sum", "parse_natural", "require_natural"),
+    "render": ("GRAY_LEVELS", "classification_grid", "render_pgm"),
+    "triangles": (
+        "CASE_TABLE", "TriangleClass", "TriangleClassification", "VertexStatus",
+        "case_table_lookup", "classify_triangle", "classify_vertex", "reorder_dominant",
+    ),
 }
+_HOMES = {name: home for home, names in _EXPORTS.items() for name in (home, *names)}
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 
 def __getattr__(name: str):

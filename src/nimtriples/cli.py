@@ -244,7 +244,7 @@ def _run_move(args: argparse.Namespace) -> _Result:
 
 
 def _run_census(args: argparse.Namespace) -> _Result:
-    from .census import census, census_closed_form_check
+    from ._census import census, census_closed_form_check
 
     report = census(args.k)
     text = report.to_line()

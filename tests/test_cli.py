@@ -520,11 +520,9 @@ def test_help_with_fd_2_closed_goes_to_stdout(argv):
 )
 def test_failed_check_prints_its_verdict_and_exits_1(capsys, monkeypatch, argv, text, payload):
     # neither check can fail on correct code, so both are made to fail here
-    # each command imports its check from the home module when it runs; the
-    # package attribute ``census`` is the function, so that module comes from sys.modules
+    # each command imports its check from the home module when it runs
     monkeypatch.setattr(nimtriples.mex, "verify_table_equals_xor", lambda rows: (False, (2, 3)))
-    census_module = sys.modules["nimtriples.census"]
-    monkeypatch.setattr(census_module, "census_closed_form_check", lambda k: False)
+    monkeypatch.setattr(nimtriples._census, "census_closed_form_check", lambda k: False)
     assert run(capsys, *argv) == (1, text + "\n", "")
     code, out, err = run(capsys, "--json", *argv)
     assert (code, json.loads(out), err) == (1, payload, "")

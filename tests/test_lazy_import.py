@@ -4,8 +4,9 @@ Without numpy, which the ``grid`` extra installs, everything else still runs.
 
 The kernel builds grids in plain bytes, so every command starts and runs
 without numpy, and ``import nimtriples`` leaves ``dataclasses`` unloaded.
-The package resolves its other public names on first use, so a command
-loads only the submodules it runs, and ``json`` only under ``--json``.
+The package resolves every public name on first use, so its import loads no
+submodule, a command loads only the submodules it runs, and ``json`` only
+under ``--json``.
 
 Each check runs in a fresh interpreter, because the test process has loaded
 numpy long before.  Nothing here asserts a timing.
@@ -37,12 +38,12 @@ print(json.dumps([after_import, code, out.getvalue(), "numpy" in sys.modules]))
 """
 
 
-def fresh(code, *args, cwd=None, read=json.loads):
+def fresh(code, *args, cwd=None, read=json.loads, flags=()):
     """``read`` of what ``code`` printed, run in a new interpreter that imports from src."""
     env = {k: v for k, v in os.environ.items() if k != "NIM_TRIPLE_MAX_K"}
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -173,7 +174,7 @@ def test_everything_but_classification_grid_runs_without_numpy(tmp_path):
 # The modules that only some commands load.  The child prints with repr, not
 # json, because json is one of them.
 _OPTIONAL = {"json"} | {
-    f"nimtriples.{name}" for name in ("triangles", "advisor", "mex", "render", "_kernel")
+    f"nimtriples.{name}" for name in ("triangles", "advisor", "mex", "render", "_kernel", "_census")
 }
 
 _MODULES_CHILD = """
@@ -199,8 +200,8 @@ print(repr([sorted(set(sys.modules) - before), code, out.getvalue()]))
         (["mex", "2", "3"], {"mex"}),
         (["table", "4"], {"mex"}),
         (["table", "4", "--verify"], {"mex"}),
-        (["census", "3"], set()),
-        (["census", "3", "--check-closed-form"], {"_kernel"}),
+        (["census", "3"], {"_census"}),
+        (["census", "3", "--check-closed-form"], {"_census", "_kernel"}),
         (["render", "2", "5", "--out", "r.pgm"], {"render", "triangles", "_kernel"}),
     ],
     ids=[
@@ -222,7 +223,7 @@ def test_command_loads_only_its_own_modules(tmp_path, capsys, monkeypatch, argv,
 _HOMES = {
     "_kernel": [],
     "advisor": ["Move", "advise_move", "winning_moves"],
-    "census": ["CensusReport", "census", "census_closed_form_check"],
+    "_census": ["CensusReport", "census", "census_closed_form_check"],
     "limits": ["CapExceeded", "MEX_ENUMERATION_CAP"],
     "mex": [
         "exclusion_set", "greedy_minimal_table", "mex_oracle", "table_to_text",
@@ -249,14 +250,14 @@ wrong = [
 ]
 submodules = [
     getattr(nimtriples, home) is importlib.import_module("nimtriples." + home)
-    for home in {homes!r} if home != "census"
+    for home in {homes!r}
 ]
 star = {{}}
 exec("from nimtriples import *", star)
 print(repr([
     wrong,
     all(submodules),
-    nimtriples.census is sys.modules["nimtriples.census"].census,
+    nimtriples.census is sys.modules["nimtriples._census"].census,
     isinstance(nimtriples.census, types.FunctionType),
     sorted(set(star) - {{"__builtins__"}}),
     set(nimtriples.__all__) <= set(dir(nimtriples)),
@@ -269,9 +270,9 @@ print(repr([
     "first",
     [
         "",
-        "import nimtriples.census",
-        "from nimtriples.census import CensusReport",
-        "from nimtriples.census import census",
+        "import nimtriples._census",
+        "from nimtriples._census import CensusReport",
+        "from nimtriples._census import census",
         "import nimtriples.mex",
         "from nimtriples.mex import mex_oracle",
         "import nimtriples.triangles",
@@ -304,6 +305,28 @@ print(repr(got))
     assert fresh(code, read=ast.literal_eval) == [
         1, "nimtriples._kernel", False, "module 'nimtriples' has no attribute 'nope'"
     ]
+
+
+def test_import_loads_no_submodule():
+    code = """
+import sys
+before = set(sys.modules)
+import nimtriples
+print(repr(sorted(set(sys.modules) - before)))
+"""
+    assert fresh(code, read=ast.literal_eval) == ["nimtriples"]
+
+
+def test_sum_on_a_bare_interpreter_loads_neither_typing_nor_the_census():
+    # -S skips site, whose hooks may load typing first; the console script's
+    # wrapper imports re and sys before the package, as this child does
+    code = """
+import re, sys
+from nimtriples.cli import main
+code = main(["sum", "5", "3"])
+print(code, "typing" in sys.modules, "nimtriples._census" in sys.modules)
+"""
+    assert fresh(code, read=str.splitlines, flags=["-S"]) == ["6", "0 False False"]
 
 
 def test_import_leaves_dataclasses_unloaded():
