@@ -13,9 +13,10 @@ import sys
 
 __version__ = "0.1.0"
 
-# The public names of each submodule, their home.  ``__getattr__`` imports a
-# home on the first use of one of its names or of the submodule itself, so a
-# CLI command loads only the modules it runs.
+# Each home submodule with the public names it defines.  ``__getattr__``
+# imports a home on the first use of one of its names or of the submodule
+# itself, so ``import nimtriples`` loads no submodule and a CLI command loads
+# only the modules it runs.
 _EXPORTS = {
     "_census": ("CensusReport", "census", "census_closed_form_check"),
     "_kernel": (),

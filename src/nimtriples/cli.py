@@ -1,10 +1,13 @@
 """Command-line front end with stable single-line outputs.
 
-Numbers are accepted in decimal, 0x hex, or 0b binary.  The bytes written
-depend on argv and ``NIM_TRIPLE_MAX_K`` alone: help is 78 columns wide on
-any terminal, decimals convert up to ``limits.DECIMAL_DIGITS`` digits
-whatever the interpreter's own limit, and the CLI writes only ASCII of its
-own.  ``--json`` emits the same fields as the text, as one JSON object.
+Numbers are accepted in decimal, 0x hex, or 0b binary.  On a given Python
+version the bytes written depend on argv and ``NIM_TRIPLE_MAX_K`` alone:
+help is 78 columns wide on any terminal, decimals convert up to
+``limits.DECIMAL_DIGITS`` digits whatever the interpreter's own limit, and
+the CLI writes only ASCII of its own.  Between versions argparse differs:
+a ``-h`` glued to other letters, as in ``-hx``, exits 2 on Python 3.10 to
+3.12 and prints help on 3.13.  ``--json`` emits the same fields as the
+text, as one JSON object.
 Exit codes: 0 success, 1 failed verification or write error, 2 usage error,
 3 cap exceeded: an enumeration cap, or an integer too long to print in decimal.
 Each command returns its payload, text and exit code; ``main`` parses,

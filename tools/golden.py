@@ -7,8 +7,8 @@ longer than ``LONG`` characters by its SHA-256 and length.  An argv token
 longer than ``LONG`` characters is shown by its length and SHA-256, so the
 file stays small; the argvs themselves come from ``battery()``.
 
-    PYTHONPATH=src python tools/golden.py          # compare with tests/golden_cli.json
-    PYTHONPATH=src python tools/golden.py --write  # regenerate tests/golden_cli.json
+    python tools/golden.py          # compare the checkout's CLI with tests/golden_cli.json
+    python tools/golden.py --write  # regenerate tests/golden_cli.json
 
 ``tests/test_golden_cli.py`` makes the same comparison entry by entry.  A
 change that alters the bytes on purpose regenerates the file, and the diff
@@ -222,15 +222,19 @@ def record(argv: list[str], max_k: str | None, workdir: str) -> dict:
         os.environ.pop(MAX_K_ENV, None)
         if saved is not None:
             os.environ[MAX_K_ENV] = saved
-    entry = {"argv": [_shown(token) for token in argv], MAX_K_ENV: max_k and _shown(max_k)}
-    entry["exit"] = code
     stdout = out.getvalue()
     if len(stdout) > LONG:
-        entry["stdout_chars"], entry["stdout_sha256"] = len(stdout), _digest(stdout.encode())
+        stdout = {"stdout_chars": len(stdout), "stdout_sha256": _digest(stdout.encode())}
     else:
-        entry["stdout"] = stdout
-    entry["stderr"], entry["files"] = err.getvalue(), files
-    return entry
+        stdout = {"stdout": stdout}
+    return {
+        "argv": [_shown(token) for token in argv],
+        MAX_K_ENV: max_k and _shown(max_k),
+        "exit": code,
+        **stdout,
+        "stderr": err.getvalue(),
+        "files": files,
+    }
 
 
 def main() -> int:
