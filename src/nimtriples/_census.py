@@ -1,8 +1,6 @@
 """Flat/tight/loose tallies over cubic ranges: counted per discriminant, checked by a sweep."""
 
-from __future__ import annotations
-
-from typing import NamedTuple
+from collections import namedtuple
 
 from .limits import CENSUS_CHECK_MAX_K, CapExceeded, checked_width
 from .natural import require_natural, shown
@@ -10,13 +8,10 @@ from .natural import require_natural, shown
 __all__ = ["CensusReport", "census", "census_closed_form_check"]
 
 
-class CensusReport(NamedTuple):
+class CensusReport(namedtuple("CensusReport", "k flat tight loose")):
     """Class tallies over all triples (a, b, c) with entries below 2**k."""
 
-    k: int
-    flat: int
-    tight: int
-    loose: int
+    __slots__ = ()
 
     @property
     def counts(self) -> tuple[int, int, int]:

@@ -25,8 +25,6 @@ strings no longer than ``2**k - m``, and no string as long as a row is
 built before the caller joins them.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 
 __all__ = ["count", "pieces"]

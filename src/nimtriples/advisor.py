@@ -7,20 +7,16 @@ vertex of the triangle, so the number of distinct winning pile reductions is
 always 0, 1, or 3.
 """
 
-from __future__ import annotations
-
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .natural import require_natural
 
 __all__ = ["Move", "advise_move", "winning_moves"]
 
 
-class Move(NamedTuple):
-    """Lower pile ``pile`` to ``new_size``."""
-
-    pile: int
-    new_size: int
+Move = namedtuple("Move", "pile new_size")
+Move.__doc__ = """Lower pile ``pile`` to ``new_size``."""
 
 
 def advise_move(piles: Sequence[int]) -> Move | None:

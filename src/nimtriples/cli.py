@@ -14,8 +14,6 @@ Each command returns its payload, text and exit code; ``main`` parses,
 computes, formats and writes, and a stderr that fails changes no exit code.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import functools

@@ -1,7 +1,5 @@
 """Enumeration caps of every operation, and the one check of a bit width against its cap."""
 
-from __future__ import annotations
-
 import os
 
 from .natural import _echo, parse_natural, require_natural, shown

@@ -18,8 +18,6 @@ are built by swapping aligned blocks of earlier rows, never by a XOR per
 cell, and table_to_text converts each distinct value to decimal once.
 """
 
-from __future__ import annotations
-
 from .limits import MEX_ENUMERATION_CAP, TABLE_MAX_N, CapExceeded
 from .natural import require_natural, shown
 

@@ -7,8 +7,6 @@ the one rule for echoing a refused value short.
 All functions are pure; values are immutable and safe to share.
 """
 
-from __future__ import annotations
-
 from collections.abc import Callable
 
 __all__ = ["bit", "nim_sum", "parse_natural", "require_natural"]

@@ -5,17 +5,10 @@ gray mapping is injective over the three classes and the output is binary
 PGM, so renders are byte-identical across runs and platforms.
 """
 
-from __future__ import annotations
-
-from typing import TYPE_CHECKING
-
 from . import _kernel
 from .limits import checked_width
 from .natural import require_natural
 from .triangles import TriangleClass
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["GRAY_LEVELS", "classification_grid", "render_pgm"]
 
@@ -37,7 +30,7 @@ def _pieces(k: int, fixed_c: int, max_k: int | None) -> list[bytes]:
     )
 
 
-def classification_grid(k: int, fixed_c: int, *, max_k: int | None = None) -> np.ndarray:
+def classification_grid(k: int, fixed_c: int, *, max_k: int | None = None) -> "numpy.ndarray":
     """Gray value per pixel for all triangles (a, b, fixed_c) with a, b < 2**k.
 
     A writable (2**k, 2**k) uint8 array; this is the one call that loads numpy,

@@ -9,10 +9,8 @@ by the three binary digits at the discriminant, the highest bit position
 where a's digit differs from the XOR of b's and c's digits.
 """
 
-from __future__ import annotations
-
 import enum
-from typing import NamedTuple
+from collections import namedtuple
 
 from .natural import require_natural
 
@@ -48,16 +46,13 @@ _A = VertexStatus.ALIGNED
 _TIGHT = (_L, _L, _L)
 
 
-class TriangleClassification(NamedTuple):
-    """Per-vertex statuses plus the derived class of the whole triangle.
+TriangleClassification = namedtuple("TriangleClassification", "statuses kind discriminant")
+TriangleClassification.__doc__ = """Per-vertex statuses plus the class of the whole triangle.
 
-    ``discriminant`` is None exactly for flat triangles; otherwise it is the
-    bit position whose digits force the statuses.
-    """
-
-    statuses: Statuses
-    kind: TriangleClass
-    discriminant: int | None
+``statuses`` holds three VertexStatus and ``kind`` is a TriangleClass.
+``discriminant`` is None exactly for flat triangles; otherwise it is the
+bit position whose digits force the statuses.
+"""
 
 
 _FLAT = TriangleClassification((_A, _A, _A), TriangleClass.FLAT, None)
