@@ -6,12 +6,15 @@ help is 78 columns wide on any terminal, decimals convert up to
 ``limits.DECIMAL_DIGITS`` digits whatever the interpreter's own limit, and
 the CLI writes only ASCII of its own.  Between versions argparse differs:
 a ``-h`` glued to other letters, as in ``-hx``, exits 2 on Python 3.10 to
-3.12 and prints help on 3.13.  ``--json`` emits the same fields as the
-text, as one JSON object.
+3.12 and prints help on 3.13, and a ``--`` before the command is an invalid
+choice on 3.10.13 to 3.13.0, where 3.13.13 skips it and runs the command.
+``--json`` emits the same fields as the text, as one JSON object.
 Exit codes: 0 success, 1 failed verification or write error, 2 usage error,
 3 cap exceeded: an enumeration cap, or an integer too long to print in decimal.
 Each command returns its payload, text and exit code; ``main`` parses,
-computes, formats and writes, and a stderr that fails changes no exit code.
+computes, formats and writes, and returns every exit code: it turns
+argparse's SystemExit for help (0) and usage errors (2) into its return
+value.  A stderr that fails changes no exit code.
 """
 
 import argparse
@@ -71,7 +74,8 @@ class _Parser(argparse.ArgumentParser):
     it reaches ``main``, which reports it with exit 1.  Usage errors go
     through ``_to_stderr``: argparse would leave a failed write's bytes for
     the flush at exit (exit 120), and print its usage line to stdout when
-    ``sys.stderr`` is None.  Subparsers are ``_Parser`` too.
+    ``sys.stderr`` is None.  An argument left as ``[]`` is refused as the
+    ``"--"`` it held.  Subparsers are ``_Parser`` too.
     """
 
     def __init__(self, *args, **kwargs):
@@ -92,6 +96,15 @@ class _Parser(argparse.ArgumentParser):
             raise argparse.ArgumentError(
                 action, f"invalid choice: {_token(value)} (choose from {choices})"
             )
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        # an older argparse strips every "--", so an argument that held only one is
+        # left as []; a later one hands that "--" to _natural, which refuses it so
+        for name, value in vars(args).items():
+            if value == []:
+                self.error(f"argument {name}: invalid parse_natural value: '--'")
+        return args, extras
 
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)
@@ -322,7 +335,10 @@ def main(argv: list[str] | None = None) -> int:
     sys.set_int_max_str_digits(DECIMAL_DIGITS)
     try:
         try:
-            args = parser.parse_args(argv)  # help and usage errors leave by SystemExit
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit as exc:  # help and usage errors
+                return exc.code
             payload, text, code = args.run(args)
             print(_format(payload, text, args.json))
             return code

@@ -86,10 +86,7 @@ def test_every_argv_exits_0_to_3(workdir, argv):
     try:
         with mock.patch.dict(os.environ, {"NIM_TRIPLE_MAX_K": "4"}):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:
-                    code = exc.code
+                code = main(argv)
     finally:
         os.chdir(here)
     assert code in {0, 1, 2, 3}, (argv, code, err.getvalue())

@@ -44,10 +44,7 @@ def _battery(capsys) -> list:
     """(exit code, stdout, stderr, files written) of each argv, run in the current directory."""
     results = []
     for argv in BATTERY:
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # help and usage errors
-            code = exc.code
+        code = main(argv)
         out, err = capsys.readouterr()
         files = {path.name: path.read_bytes() for path in Path.cwd().iterdir()}
         for name in files:
@@ -85,10 +82,7 @@ _CHILD = """
 import json, sys
 from nimtriples.cli import main
 for argv in json.load(sys.stdin):
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = main(argv)
     print(f"exit {code}", flush=True)
     print("--", file=sys.stderr, flush=True)
 """

@@ -209,10 +209,7 @@ def record(argv: list[str], max_k: str | None, workdir: str) -> dict:
         if max_k is not None:
             os.environ[MAX_K_ENV] = max_k
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(list(argv))
-            except SystemExit as exc:  # help and usage errors
-                code = exc.code
+            code = main(list(argv))
         files = {}
         for path in sorted(Path(workdir).iterdir()):
             files[path.name] = _digest(path.read_bytes())
