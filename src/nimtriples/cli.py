@@ -99,8 +99,8 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         args, extras = super().parse_known_args(args, namespace)
-        # an older argparse strips every "--", so an argument that held only one is
-        # left as []; a later one hands that "--" to _natural, which refuses it so
+        # an older argparse strips every "--" and leaves an argument that held only
+        # one as []; a later one passes that "--" to _natural, whose refusal this repeats
         for name, value in vars(args).items():
             if value == []:
                 self.error(f"argument {name}: invalid parse_natural value: '--'")

@@ -6,7 +6,8 @@ The kernel builds grids in plain bytes, so every command starts and runs
 without numpy, and ``import nimtriples`` leaves ``dataclasses`` unloaded.
 The package resolves every public name on first use, so its import loads no
 submodule, a command loads only the submodules it runs, and ``json`` only
-under ``--json``.
+under ``--json``.  No module imports ``typing`` or ``__future__``, so on a
+bare interpreter no command loads either.
 
 Each check runs in a fresh interpreter, because the test process has loaded
 numpy long before.  Nothing here asserts a timing.
@@ -317,16 +318,35 @@ print(repr(sorted(set(sys.modules) - before)))
     assert fresh(code, read=ast.literal_eval) == ["nimtriples"]
 
 
-def test_sum_on_a_bare_interpreter_loads_neither_typing_nor_the_census():
-    # -S skips site, whose hooks may load typing first; the console script's
-    # wrapper imports re and sys before the package, as this child does
-    code = """
+# The console script's wrapper imports re and sys before the package, as this
+# child does; it prints which of three modules the command loaded, last.
+_BARE_CHILD = """
 import re, sys
 from nimtriples.cli import main
-code = main(["sum", "5", "3"])
-print(code, "typing" in sys.modules, "nimtriples._census" in sys.modules)
+code = main(sys.argv[1:])
+print(repr([code, sorted({"typing", "__future__", "nimtriples._census"} & set(sys.modules))]))
 """
-    assert fresh(code, read=str.splitlines, flags=["-S"]) == ["6", "0 False False"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum", "5", "3"],
+        ["classify", "5", "1", "2"],
+        ["reorder", "1", "2", "7"],
+        ["mex", "2", "3"],
+        ["table", "4", "--verify"],
+        ["move", "5", "1", "2"],
+        ["census", "3", "--check-closed-form"],
+        ["render", "2", "5", "--out", "r.pgm"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_command_on_a_bare_interpreter_loads_neither_typing_nor_future(tmp_path, argv):
+    # -S skips site, whose hooks may load typing first
+    lines = fresh(_BARE_CHILD, *argv, cwd=tmp_path, read=str.splitlines, flags=["-S"])
+    census = ["nimtriples._census"] if argv[0] == "census" else []
+    assert ast.literal_eval(lines[-1]) == [0, census]
 
 
 def test_import_leaves_dataclasses_unloaded():
@@ -356,6 +376,26 @@ def _loads_numpy(node):
     if isinstance(node, ast.ImportFrom) and node.level == 0:
         return node.module.split(".")[0] == "numpy"
     return False
+
+
+def _for_annotations_only(node):
+    """Whether ``node`` imports ``typing`` or ``__future__``, or names ``TYPE_CHECKING``."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] in {"typing", "__future__"} for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.level == 0 and node.module.split(".")[0] in {"typing", "__future__"}
+    return isinstance(node, ast.Name) and node.id == "TYPE_CHECKING"
+
+
+def test_no_module_imports_typing_or_future():
+    # the records are collections.namedtuple, and every annotation evaluates as written
+    found = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _for_annotations_only(node)
+    )
+    assert found == []
 
 
 def test_no_module_imports_numpy_at_module_level():

@@ -1,0 +1,68 @@
+"""The three result records are ``collections.namedtuple``s: tuples with field names.
+
+A winning move, a triangle's classification and a census report each behave
+as the plain tuple of their values, and pickle and copy like one.
+"""
+
+import pickle
+
+import pytest
+
+from nimtriples import (
+    CensusReport,
+    Move,
+    TriangleClass,
+    TriangleClassification,
+    VertexStatus,
+    advise_move,
+    census,
+    classify_triangle,
+)
+
+_LOOSE = ((VertexStatus.LARGE, VertexStatus.SMALL, VertexStatus.SMALL), TriangleClass.LOOSE, 2)
+
+RECORDS = [
+    (advise_move([5, 1, 2]), Move, ("pile", "new_size"), (0, 3), "Move(pile=0, new_size=3)"),
+    (
+        classify_triangle(5, 1, 2),
+        TriangleClassification,
+        ("statuses", "kind", "discriminant"),
+        _LOOSE,
+        "TriangleClassification(statuses=(<VertexStatus.LARGE: 'large'>,"
+        " <VertexStatus.SMALL: 'small'>, <VertexStatus.SMALL: 'small'>),"
+        " kind=<TriangleClass.LOOSE: 'loose'>, discriminant=2)",
+    ),
+    (
+        census(2),
+        CensusReport,
+        ("k", "flat", "tight", "loose"),
+        (2, 16, 12, 36),
+        "CensusReport(k=2, flat=16, tight=12, loose=36)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("record", "cls", "fields", "values", "text"),
+    RECORDS,
+    ids=["Move", "TriangleClassification", "CensusReport"],
+)
+def test_record_is_the_named_tuple_of_its_values(record, cls, fields, values, text):
+    assert type(record) is cls
+    assert cls._fields == fields
+    assert cls.__doc__ and not cls.__doc__.startswith(cls.__name__ + "(")
+    assert repr(record) == text
+    assert record == values and tuple(record) == values
+    assert hash(record) == hash(values)
+    assert record._asdict() == dict(zip(fields, values))
+    replaced = record._replace(**{fields[-1]: None})
+    assert type(replaced) is cls and replaced == (*values[:-1], None)
+    copied = pickle.loads(pickle.dumps(record))
+    assert type(copied) is cls and copied == record
+    assert not hasattr(record, "__dict__")
+
+
+def test_census_report_keeps_its_counts_and_line():
+    report = census(2)._replace(flat=1)
+    assert report.counts == (1, 12, 36)
+    assert report.to_line() == "k=2 flat=1 tight=12 loose=36"
