@@ -33,6 +33,8 @@ LONG = 2048
 MAX_K_ENV = "NIM_TRIPLE_MAX_K"
 FUZZ_SEED = 20151
 FUZZ_DRAWS = 400
+CORNER_SEED = 21
+CORNER_DRAWS = 150
 
 COMMANDS = ["sum", "classify", "reorder", "mex", "table", "move", "census", "render"]
 WIDE = "0x" + "f" * 4000  # 16000 bits, about 4817 decimal digits
@@ -113,11 +115,25 @@ _USAGE = [
     ["-h="],
     ["--json=1"],
     ["--=x"],
+    ["-=x"],
+    ["sum", "1", "2", "-="],
     ["--", "sum", "1", "2"],
     ["sum", "1", "--", "--"],
     ["sum", "--", "1", "--"],
     ["sum", "-5\n", "1"],
     ["render", "2", "1", "--out="],
+    ["render", "2", "--", "--", "1", "--out", "o.pgm"],
+    ["render", "--", "2", "--", "1", "--out", "o.pgm"],
+    ["render", "2", "1", "--out=--"],
+]
+
+# The shapes at the corners of argparse's grammar, drawn 1 to 6 at a time.
+_VOCABULARY = [
+    *("--", "-h", "-hh", "-hx", "-hhx", "-h x", "-hh=", "-h=", "-h-", "--=x", "--="),
+    *("--js", "--json", "--json=1", "--help", "--he", "-5", "-x"),
+    *("--out", "--out=o.pgm", "--out=--", "--all", "--verify", "--check"),
+    *COMMANDS,
+    *("0", "1", "2", "3"),
 ]
 
 # The token kinds of tests/test_cli_fuzz.py, drawn from random.Random.
@@ -175,9 +191,13 @@ def _draw(rng):
     return [*(["--json"] if rng.randrange(2) else []), command, *numbers, *options, *out]
 
 
+def _corner(rng):
+    return [rng.choice(_VOCABULARY) for _ in range(rng.randint(1, 6))]
+
+
 def battery() -> list[tuple[list[str], str | None]]:
     """Every (argv, NIM_TRIPLE_MAX_K) of the battery, in file order; the draws are seeded."""
-    rng = random.Random(FUZZ_SEED)
+    rng, corners = random.Random(FUZZ_SEED), random.Random(CORNER_SEED)
     return [
         *((argv, None) for argv in _ENVIRONMENT),
         *((argv, None) for argv in _KINDS),
@@ -185,6 +205,7 @@ def battery() -> list[tuple[list[str], str | None]]:
         *_CAPS,
         *((argv, None) for argv in _USAGE),
         *((_draw(rng), "4") for _ in range(FUZZ_DRAWS)),
+        *((_corner(corners), None) for _ in range(CORNER_DRAWS)),
     ]
 
 
