@@ -1,13 +1,10 @@
 """Command-line front end with stable single-line outputs.
 
-Numbers are accepted in decimal, 0x hex, or 0b binary.  On a given Python
-version the bytes written depend on argv and ``NIM_TRIPLE_MAX_K`` alone:
+Numbers are accepted in decimal, 0x hex, or 0b binary.  On every supported
+Python the bytes written depend on argv and ``NIM_TRIPLE_MAX_K`` alone:
 help is 78 columns wide on any terminal, decimals convert up to
 ``limits.DECIMAL_DIGITS`` digits whatever the interpreter's own limit, and
-the CLI writes only ASCII of its own.  Between versions argparse differs:
-a ``-h`` glued to other letters, as in ``-hx``, exits 2 on Python 3.10 to
-3.12 and prints help on 3.13, and a ``--`` before the command is an invalid
-choice on 3.10.13 to 3.13.0, where 3.13.13 skips it and runs the command.
+the CLI writes only ASCII of its own.
 ``--json`` emits the same fields as the text, as one JSON object.
 Exit codes: 0 success, 1 failed verification or write error, 2 usage error,
 3 cap exceeded: an enumeration cap, or an integer too long to print in decimal.
@@ -74,8 +71,10 @@ class _Parser(argparse.ArgumentParser):
     it reaches ``main``, which reports it with exit 1.  Usage errors go
     through ``_to_stderr``: argparse would leave a failed write's bytes for
     the flush at exit (exit 120), and print its usage line to stdout when
-    ``sys.stderr`` is None.  An argument left as ``[]`` is refused as the
-    ``"--"`` it held.  Subparsers are ``_Parser`` too.
+    ``sys.stderr`` is None.  Subparsers are ``_Parser`` too.  argparse's
+    grammar changed at its corners within 3.13; with ``parse_args`` and the
+    overrides below every version reads an argv as 3.10 to 3.12 do, but for
+    a lone ``"--"`` operand, which each converts as 3.13.13 does.
     """
 
     def __init__(self, *args, **kwargs):
@@ -97,16 +96,32 @@ class _Parser(argparse.ArgumentParser):
                 action, f"invalid choice: {_token(value)} (choose from {choices})"
             )
 
-    def parse_known_args(self, args=None, namespace=None):
-        args, extras = super().parse_known_args(args, namespace)
-        # an older argparse strips every "--" and leaves an argument that held only
-        # one as []; a later one passes that "--" to _natural, whose refusal this repeats
-        for name, value in vars(args).items():
-            if value == []:
-                self.error(f"argument {name}: invalid parse_natural value: '--'")
-        return args, extras
+    def _get_option_tuples(self, option_string):
+        # 3.13.13 matches "-=x" with every option by its "-", and refuses an ambiguous
+        # option only once it is consumed; earlier versions refuse it here, at once
+        if option_string.startswith("-="):
+            return []
+        matches = super()._get_option_tuples(option_string)
+        if len(matches) > 1:
+            options = ", ".join(match[1] for match in matches)
+            self.error(f"ambiguous option: {option_string} could match {options}")
+        return matches
+
+    def _get_values(self, action, arg_strings):
+        # up to 3.13.0 argparse strips a lone "--" to [], where 3.13.13 converts it
+        if arg_strings == ["--"] and action.nargs is None:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
 
     def parse_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        head = args.index("--") if "--" in args else len(args)  # options end at the first "--"
+        for i, token in enumerate(args[:head]):
+            rest = token[2:].lstrip("h")
+            if token.startswith("-h") and rest and token[2] != "=":
+                args[i] = f"-h={rest}"  # "-hx" prints help on 3.13; "-h=x" fails on all
+        if head + 1 < len(args) and None not in map(self._parse_optional, args[:head]):
+            args.insert(head, "--")  # 3.13.13 skips one "--" where the command should be
         args, extras = self.parse_known_args(args, namespace)
         if extras:
             self.error("unrecognized arguments: " + " ".join(_token(t, str) for t in extras))

@@ -1,11 +1,14 @@
 """The command line's bytes depend on argv and NIM_TRIPLE_MAX_K alone.
 
-A battery of argv runs in the default environment and again under a narrow
-and a wide ``COLUMNS``, under interpreter decimal limits of 640 and 0
-(unlimited), and, in a pair of child processes, under ``LC_ALL=C`` without
-UTF-8 mode.  The exit code, stdout, stderr and the file written must match.
+The whole golden battery of ``tools/golden.py`` runs under a narrow and a
+wide ``COLUMNS`` and under interpreter decimal limits of 640 and 0
+(unlimited), and each argv must give the exit code, stdout, stderr and
+files recorded in ``tests/golden_cli.json``.  Its environment argvs also run
+in a pair of child processes, the second under ``LC_ALL=C`` without UTF-8
+mode, and both must write the same bytes, all of them ASCII.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,43 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from nimtriples.cli import main
-
-WIDE = "0x" + "f" * 4000  # 16000 bits, about 4817 decimal digits
-LONG = "9" * 4999 + "x"
-COMMANDS = ["sum", "classify", "reorder", "mex", "table", "move", "census", "render"]
-BATTERY = [
-    ["-h"],
-    *([command, "-h"] for command in COMMANDS),
-    [],
-    ["table"],
-    ["sum", "1", "frog"],
-    ["frobnicate"],
-    [LONG],
-    ["sum", LONG, "1"],
-    ["sum", "1", "2", LONG],
-    ["sum", WIDE, "1"],
-    ["sum", WIDE, "0"],
-    ["--json", "sum", WIDE, "1"],
-    ["sum", "1" * 1000, "1"],
-    ["sum", "1" * 5000, "1"],
-    ["--json", "census", "3", "--check-closed-form"],
-    ["render", "2", "5", "--out", "x.pgm"],
-    ["render", "2", "5", "--out", "missing/x.pgm"],
-]
-
-
-def _battery(capsys) -> list:
-    """(exit code, stdout, stderr, files written) of each argv, run in the current directory."""
-    results = []
-    for argv in BATTERY:
-        code = main(argv)
-        out, err = capsys.readouterr()
-        files = {path.name: path.read_bytes() for path in Path.cwd().iterdir()}
-        for name in files:
-            os.unlink(name)
-        results.append((code, out, err, files))
-    return results
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
 
 
 @pytest.mark.parametrize(
@@ -59,23 +29,22 @@ def _battery(capsys) -> list:
     ids=["COLUMNS=30", "COLUMNS=200", "digits=640", "digits=unlimited"],
 )
 def test_output_ignores_the_terminal_width_and_the_decimal_limit(
-    capsys, monkeypatch, tmp_path, columns, digits
+    monkeypatch, tmp_path, columns, digits
 ):
-    monkeypatch.chdir(tmp_path)
+    expected = json.loads(golden.GOLDEN.read_text(encoding="ascii"))
     monkeypatch.delenv("COLUMNS", raising=False)
-    expected = _battery(capsys)
-    assert all((out + err).isascii() for _, out, err, _ in expected)
-    assert [code for code, *_ in expected] == [0] * 9 + [2] * 7 + [3, 3, 3, 0, 2, 0, 0, 1]
     if columns is not None:
         monkeypatch.setenv("COLUMNS", columns)
     saved = sys.get_int_max_str_digits()
     if digits is not None:
         sys.set_int_max_str_digits(digits)
     try:
-        assert _battery(capsys) == expected
+        runs = [golden.record(argv, max_k, str(tmp_path)) for argv, max_k in golden.battery()]
         assert sys.get_int_max_str_digits() == (saved if digits is None else digits)
     finally:
         sys.set_int_max_str_digits(saved)
+    assert len(runs) == len(expected)
+    assert [i for i, (run, entry) in enumerate(zip(runs, expected)) if run != entry] == []
 
 
 _CHILD = """
@@ -91,7 +60,7 @@ for argv in json.load(sys.stdin):
 def test_output_ignores_the_locale(tmp_path):
     # under LC_ALL=C without UTF-8 mode stderr is ASCII, and a non-ASCII
     # character would come out as a backslash escape
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     for name in ("PYTHONIOENCODING", "PYTHONUTF8", "COLUMNS", "PYTHONINTMAXSTRDIGITS"):
@@ -100,7 +69,7 @@ def test_output_ignores_the_locale(tmp_path):
     for flags, extra in (([], {}), (["-X", "utf8=0"], {"LC_ALL": "C"})):
         proc = subprocess.run(
             [sys.executable, *flags, "-c", _CHILD],
-            input=json.dumps(BATTERY).encode(),
+            input=json.dumps(golden._ENVIRONMENT).encode(),
             capture_output=True,
             env={**env, **extra},
             cwd=tmp_path,
@@ -111,5 +80,6 @@ def test_output_ignores_the_locale(tmp_path):
     assert runs[0] == runs[1]
     code, out, err, _ = runs[0]
     assert code == 0
-    assert out.count(b"exit ") == err.count(b"--\n") == len(BATTERY)
+    assert (out + err).isascii()
+    assert out.count(b"exit ") == err.count(b"--\n") == len(golden._ENVIRONMENT)
     assert b"'99999999999999999999'...(5000 chars)" in err

@@ -357,13 +357,10 @@ def test_import_leaves_dataclasses_unloaded():
 def _runs_at_import(body):
     """Statements of a module body that run when it is imported.
 
-    Function and class bodies run later; an ``if TYPE_CHECKING:`` block never.
+    Function and class bodies run later.
     """
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
-            yield from _runs_at_import(node.orelse)
             continue
         yield node
         for field in ("body", "orelse", "finalbody", "handlers"):

@@ -40,7 +40,7 @@ COMMANDS = ["sum", "classify", "reorder", "mex", "table", "move", "census", "ren
 WIDE = "0x" + "f" * 4000  # 16000 bits, about 4817 decimal digits
 LONG_TOKEN = "9" * 4999 + "x"
 
-# The argv battery of tests/test_environment.py, -h of each command among it.
+# What tests/test_environment.py also runs under LC_ALL=C, -h of each command among it.
 _ENVIRONMENT = [
     ["-h"],
     *([command, "-h"] for command in COMMANDS),
