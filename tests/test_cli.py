@@ -1,3 +1,11 @@
+"""What the golden battery of ``tools/golden.py`` cannot pin about the command line.
+
+The battery records each argv's exit code, stdout, stderr and files, run in
+process.  The tests here need more: a child process whose stdout or stderr
+fails or is closed, a check made to fail, traced memory, a file the render
+replaces, and the README's examples.
+"""
+
 import errno
 import json
 import os
@@ -11,7 +19,6 @@ import pytest
 
 import nimtriples
 from nimtriples.cli import main
-from nimtriples.limits import DECIMAL_DIGITS
 from nimtriples.render import render_pgm
 
 
@@ -19,210 +26,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_sum(capsys):
-    code, out, err = run(capsys, "sum", "5", "3")
-    assert (code, out, err) == (0, "6\n", "")
-
-
-def test_sum_accepts_hex_and_binary(capsys):
-    code, out, _ = run(capsys, "sum", "0x1f", "0b10")
-    assert code == 0
-    assert out == "29\n"
-
-
-def test_sum_json(capsys):
-    code, out, _ = run(capsys, "--json", "sum", "5", "3")
-    assert code == 0
-    assert json.loads(out) == {"value": 6}
-
-
-def test_classify(capsys):
-    code, out, _ = run(capsys, "classify", "5", "1", "2")
-    assert code == 0
-    assert out == "loose j=2 a:large b:small c:small\n"
-
-
-def test_classify_flat(capsys):
-    code, out, _ = run(capsys, "classify", "1", "2", "3")
-    assert code == 0
-    assert out == "flat a:aligned b:aligned c:aligned\n"
-
-
-def test_classify_json(capsys):
-    code, out, _ = run(capsys, "--json", "classify", "2", "2", "3")
-    assert code == 0
-    assert json.loads(out) == {
-        "class": "tight",
-        "j": 1,
-        "a": "large",
-        "b": "large",
-        "c": "large",
-    }
-
-
-def test_reorder(capsys):
-    code, out, _ = run(capsys, "reorder", "1", "2", "7")
-    assert code == 0
-    assert out == "7 1 2 perm=2,0,1\n"
-
-
-def test_reorder_json(capsys):
-    code, out, _ = run(capsys, "--json", "reorder", "1", "2", "7")
-    assert code == 0
-    assert json.loads(out) == {"triple": [7, 1, 2], "perm": [2, 0, 1]}
-
-
-def test_mex(capsys):
-    code, out, _ = run(capsys, "mex", "2", "3")
-    assert (code, out) == (0, "1\n")
-
-
-def test_mex_cap(capsys):
-    code, out, err = run(capsys, "mex", "0x100000", "1")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error:")
-
-
-def test_table(capsys):
-    code, out, _ = run(capsys, "table", "2")
-    assert code == 0
-    assert out == "0 1\n1 0\n"
-
-
-def test_table_json(capsys):
-    code, out, _ = run(capsys, "--json", "table", "2")
-    assert json.loads(out) == {"n": 2, "rows": [[0, 1], [1, 0]]}
-
-
-def test_table_verify(capsys):
-    code, out, _ = run(capsys, "table", "8", "--verify")
-    assert code == 0
-    assert out == "n=8 xor=ok\n"
-
-
-@pytest.mark.parametrize("n", [1000, 1024], ids=["padded", "cap"])
-def test_table_verify_at_size(capsys, n):
-    # 1000 rows are checked against expected rows of width 1024
-    code, out, err = run(capsys, "table", str(n), "--verify")
-    assert (code, out, err) == (0, f"n={n} xor=ok\n", "")
-
-
-def test_table_rejects_zero(capsys):
-    code, _, err = run(capsys, "table", "0")
-    assert code == 2
-    assert "error:" in err
-
-
-def test_move(capsys):
-    code, out, _ = run(capsys, "move", "5", "1", "2")
-    assert (code, out) == (0, "winning pile=0 new=3\n")
-
-
-def test_move_losing(capsys):
-    code, out, _ = run(capsys, "move", "3", "1", "2")
-    assert (code, out) == (0, "no-winning-move\n")
-
-
-def test_move_json(capsys):
-    code, out, _ = run(capsys, "--json", "move", "5", "1", "2")
-    assert code == 0
-    assert json.loads(out) == {"winning": True, "pile": 0, "new": 3}
-    code, out, _ = run(capsys, "--json", "move", "3", "1", "2")
-    assert json.loads(out) == {"winning": False}
-    code, out, _ = run(capsys, "--json", "move", "2", "2", "3", "--all")
-    assert json.loads(out) == {
-        "moves": [
-            {"pile": 0, "new": 1},
-            {"pile": 1, "new": 1},
-            {"pile": 2, "new": 0},
-        ]
-    }
-
-
-def test_move_all(capsys):
-    code, out, _ = run(capsys, "move", "2", "2", "3", "--all")
-    assert code == 0
-    assert out == (
-        "winning pile=0 new=1\n"
-        "winning pile=1 new=1\n"
-        "winning pile=2 new=0\n"
-    )
-
-
-def test_move_all_losing(capsys):
-    code, out, _ = run(capsys, "move", "1", "2", "3", "--all")
-    assert (code, out) == (0, "no-winning-move\n")
-
-
-def test_move_all_requires_three_piles(capsys):
-    code, _, err = run(capsys, "move", "1", "2", "--all")
-    assert code == 2
-    assert "error:" in err
-
-
-def test_census(capsys):
-    code, out, _ = run(capsys, "census", "1")
-    assert (code, out) == (0, "k=1 flat=4 tight=1 loose=3\n")
-
-
-def test_census_closed_form(capsys):
-    code, out, _ = run(capsys, "census", "2", "--check-closed-form")
-    assert code == 0
-    assert out == "k=2 flat=16 tight=12 loose=36 closed-form=ok\n"
-
-
-def test_census_json(capsys):
-    code, out, _ = run(capsys, "--json", "census", "1")
-    assert json.loads(out) == {"k": 1, "flat": 4, "tight": 1, "loose": 3}
-
-
-def test_census_rejects_zero(capsys):
-    code, _, err = run(capsys, "census", "0")
-    assert code == 2
-    assert "error:" in err
-
-
-def test_census_cap(capsys):
-    code, _, err = run(capsys, "census", "99")
-    assert code == 3
-    assert "error:" in err
-
-
-def test_census_timing_flag_is_gone(capsys):
-    assert main(["census", "3", "--timing"]) == 2
-    assert capsys.readouterr().out == ""
-
-
-def test_census_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("NIM_TRIPLE_MAX_K", "1")
-    code, _, err = run(capsys, "census", "2")
-    assert code == 3
-    assert "error:" in err
-
-
-def test_render(capsys, tmp_path):
-    target = tmp_path / "grid.pgm"
-    code, out, _ = run(capsys, "render", "1", "0", "--out", str(target))
-    assert code == 0
-    assert out == f"out={target} width=2 height=2\n"
-    assert target.read_bytes() == b"P5\n2 2\n255\n" + bytes([255, 85, 85, 255])
-
-
-def test_render_unwritable_path(capsys, tmp_path):
-    target = tmp_path / "missing" / "grid.pgm"
-    code, out, err = run(capsys, "render", "1", "0", "--out", str(target))
-    assert code == 1
-    assert out == ""
-    assert str(target) in err
-
-
-def test_render_cap(capsys, tmp_path):
-    code, _, err = run(capsys, "render", "13", "0", "--out", str(tmp_path / "x.pgm"))
-    assert code == 3
-    assert "error:" in err
 
 
 @pytest.mark.parametrize(
@@ -250,78 +53,6 @@ def test_render_at_its_default_cap_writes_without_joining(capsys, monkeypatch, t
     assert code == 0
     assert target.stat().st_size == 4**12 + len(b"P5\n4096 4096\n255\n")
     assert peak < 4**12 // 8
-
-
-def test_bad_number_is_usage_error(capsys):
-    assert main(["sum", "5", "frog"]) == 2
-
-
-def test_negative_number_is_usage_error(capsys):
-    assert main(["sum", "5", "--", "-3"]) == 2
-
-
-def test_no_arguments_is_usage_error(capsys):
-    assert main([]) == 2
-
-
-def test_unknown_command_is_usage_error(capsys):
-    assert main(["frobnicate"]) == 2
-
-
-@pytest.mark.parametrize("text", ["1_000", "٣", "0x0x5"])
-def test_number_outside_the_grammar_is_usage_error(capsys, text):
-    assert main(["sum", text, "1"]) == 2
-
-
-LONG_TOKEN = "9" * 4999 + "x"
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["sum", LONG_TOKEN, "1"], [LONG_TOKEN], ["sum", "1", "2", LONG_TOKEN]],
-    ids=["operand", "command", "extra"],
-)
-def test_rejected_long_token_is_echoed_short(capsys, argv):
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert len(err.encode()) < 1000
-    assert "99999999999999999999" in err
-    assert "999999999999999999999" not in err
-    assert "...(5000 chars)" in err
-
-
-@pytest.mark.parametrize("raw", ["-1", "17", "banana"])
-def test_max_k_env_out_of_range_is_usage_error(capsys, monkeypatch, raw):
-    monkeypatch.setenv("NIM_TRIPLE_MAX_K", raw)
-    code, out, err = run(capsys, "census", "1")
-    assert (code, out) == (2, "")
-    assert "0..16" in err
-
-
-def test_long_max_k_env_is_echoed_short(capsys, monkeypatch):
-    monkeypatch.setenv("NIM_TRIPLE_MAX_K", "9" * 5000)
-    code, out, err = run(capsys, "census", "8")
-    assert (code, out) == (2, "")
-    assert err == (
-        "error: NIM_TRIPLE_MAX_K must be an integer in 0..16,"
-        " got '99999999999999999999'...(5000 chars)\n"
-    )
-
-
-def test_max_k_env_is_cut_only_where_that_is_shorter(capsys, monkeypatch):
-    # cut, 30 nines would read '99999999999999999999'...(30 chars), 3 characters longer
-    monkeypatch.setenv("NIM_TRIPLE_MAX_K", "9" * 30)
-    code, out, err = run(capsys, "census", "8")
-    assert (code, out) == (2, "")
-    assert err == f"error: NIM_TRIPLE_MAX_K must be an integer in 0..16, got '{'9' * 30}'\n"
-
-
-def test_max_k_env_range_ends(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("NIM_TRIPLE_MAX_K", "0")
-    assert run(capsys, "census", "1")[0] == 3
-    assert run(capsys, "render", "0", "0", "--out", str(tmp_path / "dot.pgm"))[0] == 0
-    monkeypatch.setenv("NIM_TRIPLE_MAX_K", "16")
-    assert run(capsys, "census", "1")[0] == 0
 
 
 _LIMITED_WRITE = """
@@ -548,59 +279,6 @@ def test_census_check_past_its_cap_exits_3(capsys, monkeypatch):
     assert run(capsys, "census", "11", "--check-closed-form") == (3, "", refused)
     counted = "k=11 flat=4194304 tight=2146435072 loose=6439305216\n"
     assert run(capsys, "census", "11") == (0, counted, "")
-
-
-# 16000 bits, about 4817 decimal digits: past the CLI's limit of 4300
-WIDE = "0x" + "f" * 4000
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sum", WIDE, "1"],
-        ["--json", "sum", WIDE, "1"],
-        ["reorder", WIDE, "1", "2"],
-        ["move", WIDE, WIDE, "1"],
-        ["move", WIDE, WIDE, "1", "--all"],
-        ["--json", "move", WIDE, WIDE, "1", "--all"],
-    ],
-)
-def test_output_too_wide_for_decimal_is_a_cap(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (3, "")
-    assert err.startswith("error:")
-    assert "16000 bits" in err
-    assert f"{DECIMAL_DIGITS}-digit" in err
-
-
-def test_wide_operands_with_a_short_result_still_print(capsys):
-    assert run(capsys, "sum", WIDE, WIDE) == (0, "0\n", "")
-    code, out, _ = run(capsys, "classify", WIDE, "1", "2")
-    assert (code, out) == (0, "loose j=15999 a:large b:small c:small\n")
-    code, out, _ = run(capsys, "move", WIDE, "1", "2")
-    assert (code, out) == (0, "winning pile=0 new=3\n")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["census", WIDE],
-        ["table", WIDE],
-        ["mex", WIDE, "1"],
-        ["render", WIDE, "0", "--out", "unused.pgm"],
-    ],
-)
-def test_wide_operand_past_a_cap_is_named_by_width(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (3, "")
-    assert "<16000-bit number>" in err
-    assert "Exceeds the limit" not in err
-
-
-def test_table_cap(capsys):
-    code, out, err = run(capsys, "table", "1025")
-    assert (code, out) == (3, "")
-    assert err == "error: table n=1025 exceeds cap 1024\n"
 
 
 def _readme_examples():

@@ -136,6 +136,58 @@ _VOCABULARY = [
     *("0", "1", "2", "3"),
 ]
 
+# Each command at its edges, the operand grammar, the NIM_TRIPLE_MAX_K range and
+# operands too wide for decimal, as (argv, NIM_TRIPLE_MAX_K); last, so that
+# entries added here keep every earlier index.
+_EDGES = [
+    (["sum", "0x1f", "0b10"], None),
+    (["table", "2"], None),
+    (["--json", "table", "2"], None),
+    (["table", "8", "--verify"], None),
+    (["table", "1000", "--verify"], None),  # checked against rows padded to 1024
+    (["table", "1024", "--verify"], None),
+    (["table", "0"], None),
+    (["move", "3", "1", "2"], None),
+    (["--json", "move", "3", "1", "2"], None),
+    (["move", "1", "2", "3", "--all"], None),
+    (["move", "1", "2", "--all"], None),
+    (["census", "1"], None),
+    (["--json", "census", "1"], None),
+    (["census", "2", "--check-closed-form"], None),
+    (["census", "0"], None),
+    (["census", "99"], None),
+    (["census", "2"], "1"),
+    (["render", "1", "0", "--out", "grid.pgm"], None),
+    (["sum", "5", "frog"], None),
+    (["sum", "5", "--", "-3"], None),
+    (["sum", "1_000", "1"], None),
+    (["sum", "\u0663", "1"], None),  # an Arabic-Indic 3
+    (["sum", "0x0x5", "1"], None),
+    (["census", "1"], "-1"),
+    (["census", "1"], "17"),
+    (["census", "1"], "banana"),
+    (["census", "8"], "9" * 30),  # shown whole: cut, it would be 3 characters longer
+    (["census", "1"], "0"),
+    (["render", "0", "0", "--out", "dot.pgm"], "0"),
+    (["census", "1"], "16"),
+    (["reorder", WIDE, "1", "2"], None),
+    (["move", WIDE, WIDE, "1"], None),
+    (["move", WIDE, WIDE, "1", "--all"], None),
+    (["--json", "move", WIDE, WIDE, "1", "--all"], None),
+    (["sum", WIDE, WIDE], None),
+    (["classify", WIDE, "1", "2"], None),
+    (["move", WIDE, "1", "2"], None),
+    (["census", WIDE], None),
+    (["table", WIDE], None),
+    (["mex", WIDE, "1"], None),
+    (["render", WIDE, "0", "--out", "unused.pgm"], None),
+    # an ambiguous option, and a value given to a flag, 5000 characters long
+    (["--=" + "x" * 5000], None),
+    (["-h" + "x" * 5000], None),
+    (["--json=" + "x" * 5000], None),
+    (["table", "4", "--verify=" + "x" * 5000], None),
+]
+
 # The token kinds of tests/test_cli_fuzz.py, drawn from random.Random.
 _ARITY = dict(sum=2, classify=3, reorder=3, mex=2, table=1, move=3, census=1, render=2)
 _FLAGS = ["--json", "--all", "--verify", "--check-closed-form", "-h", "--timing"]
@@ -206,6 +258,7 @@ def battery() -> list[tuple[list[str], str | None]]:
         *((argv, None) for argv in _USAGE),
         *((_draw(rng), "4") for _ in range(FUZZ_DRAWS)),
         *((_corner(corners), None) for _ in range(CORNER_DRAWS)),
+        *_EDGES,
     ]
 
 
