@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import functools
 import os
+import re
 import sys
 from collections.abc import Callable, Iterator
 
@@ -87,6 +88,12 @@ class _Parser(argparse.ArgumentParser):
             _to_stderr(message)
 
     def error(self, message):
+        # argparse quotes a value given to a flag whole; echo it by _token's rule
+        ignored = re.fullmatch(r"(argument \S+: ignored explicit argument )(.*)", message)
+        if ignored:
+            import ast
+
+            message = ignored[1] + _token(ast.literal_eval(ignored[2]))
         self.exit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
     def _check_value(self, action, value):
@@ -104,7 +111,7 @@ class _Parser(argparse.ArgumentParser):
         matches = super()._get_option_tuples(option_string)
         if len(matches) > 1:
             options = ", ".join(match[1] for match in matches)
-            self.error(f"ambiguous option: {option_string} could match {options}")
+            self.error(f"ambiguous option: {_token(option_string, str)} could match {options}")
         return matches
 
     def _get_values(self, action, arg_strings):
