@@ -44,6 +44,35 @@ def fresh(code, *args, cwd=None, read=json.loads, flags=()):
     return read(proc.stdout)
 
 
+_CHILD = """
+import contextlib, io, json, sys
+import nimtriples
+after_import = "numpy" in sys.modules
+from nimtriples.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([after_import, code, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum", "5", "3"],
+        ["classify", "5", "1", "2"],
+        ["reorder", "1", "2", "7"],
+        ["move", "5", "1", "2"],
+        ["move", "2", "2", "3", "--all"],
+        ["mex", "2", "3"],
+        ["table", "4"],
+    ],
+    ids=["sum", "classify", "reorder", "move", "move-all", "mex", "table"],
+)
+def test_command_runs_without_numpy(tmp_path, argv):
+    assert fresh(_CHILD, json.dumps(argv), cwd=tmp_path) == [False, 0, False]
+
+
 def test_classification_grid_loads_numpy():
     code = """
 import json, sys
