@@ -124,9 +124,11 @@ class _Parser(argparse.ArgumentParser):
         args = list(sys.argv[1:] if args is None else args)
         head = args.index("--") if "--" in args else len(args)  # options end at the first "--"
         for i, token in enumerate(args[:head]):
-            rest = token[2:].lstrip("h")
-            if token.startswith("-h") and rest and token[2] != "=":
-                args[i] = f"-h={rest}"  # "-hx" prints help on 3.13; "-h=x" fails on all
+            # 3.10 to 3.12 read "-hx", "-hhx" and "-h=hhx" as "-h=x", and "-hh" and "-h=h"
+            # as "-h"; 3.13 prints help for "-hx" and refuses "-h=h"
+            rest = token[2:].removeprefix("=").lstrip("h")
+            if token.startswith("-h") and token != "-h=":
+                args[i] = f"-h={rest}" if rest else "-h"
         if head + 1 < len(args) and None not in map(self._parse_optional, args[:head]):
             args.insert(head, "--")  # 3.13.13 skips one "--" where the command should be
         args, extras = self.parse_known_args(args, namespace)
@@ -298,9 +300,10 @@ def _write_replacing(path: str, chunks: list[bytes]) -> None:
     """Write ``chunks`` end to end to a new file beside ``path``, then rename it over ``path``.
 
     A write that fails part way removes the new file, so ``path`` is either
-    left as it was or holds all of the chunks, never a truncated copy.
+    left as it was or holds all of the chunks, never a truncated copy.  The
+    new file's name does not grow with ``path``'s, so any legal name works.
     """
-    scratch = f"{path}.{os.getpid()}.tmp"
+    scratch = os.path.join(os.path.dirname(path), f".{os.getpid()}.tmp")
     handle = open(scratch, "xb")
     try:
         with handle:

@@ -2,15 +2,16 @@
 
 Without numpy, which the ``grid`` extra installs, everything else still runs.
 
-The kernel builds grids in plain bytes, so every command starts and runs
-without numpy, and ``import nimtriples`` leaves ``dataclasses`` unloaded.
-The package resolves every public name on first use, so its import loads no
+The kernel builds grids in plain bytes, so no command loads numpy.  The
+package resolves every public name on first use, so its import loads no
 submodule, a command loads only the submodules it runs, and ``json`` only
-under ``--json``.  No module imports ``typing`` or ``__future__``, so on a
-bare interpreter no command loads either.
+under ``--json``.  No module imports ``typing`` or ``__future__``, and on a
+bare interpreter no command loads either, nor ``dataclasses`` nor numpy.
 
 Each check runs in a fresh interpreter, because the test process has loaded
-numpy long before.  Nothing here asserts a timing.
+numpy long before.  Nothing here asserts a timing.  The bytes each command
+writes without numpy are the golden battery's, which CI replays with numpy
+uninstalled.
 """
 
 import ast
@@ -42,35 +43,6 @@ def fresh(code, *args, cwd=None, read=json.loads, flags=()):
     )
     assert proc.returncode == 0, proc.stderr
     return read(proc.stdout)
-
-
-_CHILD = """
-import contextlib, io, json, sys
-import nimtriples
-after_import = "numpy" in sys.modules
-from nimtriples.cli import main
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    code = main(json.loads(sys.argv[1]))
-print(json.dumps([after_import, code, "numpy" in sys.modules]))
-"""
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sum", "5", "3"],
-        ["classify", "5", "1", "2"],
-        ["reorder", "1", "2", "7"],
-        ["move", "5", "1", "2"],
-        ["move", "2", "2", "3", "--all"],
-        ["mex", "2", "3"],
-        ["table", "4"],
-    ],
-    ids=["sum", "classify", "reorder", "move", "move-all", "mex", "table"],
-)
-def test_command_runs_without_numpy(tmp_path, argv):
-    assert fresh(_CHILD, json.dumps(argv), cwd=tmp_path) == [False, 0, False]
 
 
 def test_classification_grid_loads_numpy():
@@ -303,12 +275,13 @@ print(repr(sorted(set(sys.modules) - before)))
 
 
 # The console script's wrapper imports re and sys before the package, as this
-# child does; it prints which of three modules the command loaded, last.
+# child does; it prints which of five modules the command loaded, last.
 _BARE_CHILD = """
 import re, sys
 from nimtriples.cli import main
 code = main(sys.argv[1:])
-print(repr([code, sorted({"typing", "__future__", "nimtriples._census"} & set(sys.modules))]))
+watched = {"typing", "__future__", "dataclasses", "numpy", "nimtriples._census"}
+print(repr([code, sorted(watched & set(sys.modules))]))
 """
 
 
@@ -327,15 +300,10 @@ print(repr([code, sorted({"typing", "__future__", "nimtriples._census"} & set(sy
     ids=lambda argv: argv[0],
 )
 def test_command_on_a_bare_interpreter_loads_neither_typing_nor_future(tmp_path, argv):
-    # -S skips site, whose hooks may load typing first
+    # nor dataclasses nor numpy; -S skips site, whose hooks may load typing first
     lines = fresh(_BARE_CHILD, *argv, cwd=tmp_path, read=str.splitlines, flags=["-S"])
     census = ["nimtriples._census"] if argv[0] == "census" else []
     assert ast.literal_eval(lines[-1]) == [0, census]
-
-
-def test_import_leaves_dataclasses_unloaded():
-    code = "import json, sys, nimtriples.cli; print(json.dumps('dataclasses' in sys.modules))"
-    assert fresh(code) is False
 
 
 def _runs_at_import(body):

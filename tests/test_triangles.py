@@ -149,18 +149,6 @@ def test_large_count_is_zero_one_or_three(t):
         assert A not in result.statuses
 
 
-@given(st.tuples(wide, wide, wide))
-def test_case_table_agrees_with_direct_statuses(t):
-    a, b, c = t
-    result = classify_triangle(a, b, c)
-    if result.kind is TriangleClass.FLAT:
-        return
-    j = result.discriminant
-    outcome = case_table_lookup(bit(a, j), bit(b, j), bit(c, j))
-    assert outcome is not None
-    assert outcome == result.statuses
-
-
 def test_reorder_moves_dominant_to_front():
     assert reorder_dominant(1, 2, 7) == ((7, 1, 2), (2, 0, 1))
 

@@ -14,8 +14,10 @@ file stays small; the argvs themselves come from ``battery()``.
 it is the one test of what an argv writes: a new argv to check becomes an
 entry of ``_EDGES``, the last section, so every earlier entry keeps its
 index.  ``tests/test_cli.py`` keeps only what a run in process cannot show.
-A change that alters the bytes on purpose regenerates the file, and the
-diff of the file is the record of what changed.  Standard library only.
+CI runs the comparison once more after uninstalling numpy, so every argv
+is also checked without it.  A change that alters the bytes on purpose
+regenerates the file, and the diff of the file is the record of what
+changed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -188,6 +190,11 @@ _EDGES = [
     (["-h" + "x" * 5000], None),
     (["--json=" + "x" * 5000], None),
     (["table", "4", "--verify=" + "x" * 5000], None),
+    # "-h=" and then "h"s, read as 3.10 to 3.12 read them
+    (["-h=h", "census", "3"], None),
+    (["sum", "1", "-h=hhx", "2"], None),
+    (["-h=hh"], None),
+    (["render", "1", "0", "--out", "x" * 250], None),  # a legal name near NAME_MAX
 ]
 
 # The token kinds of tests/test_cli_fuzz.py, drawn from random.Random.
