@@ -15,7 +15,6 @@ value.  A stderr that fails changes no exit code.
 """
 
 import argparse
-import contextlib
 import functools
 import os
 import re
@@ -310,8 +309,10 @@ def _write_replacing(path: str, chunks: list[bytes]) -> None:
             handle.writelines(chunks)
         os.replace(scratch, path)
     except BaseException:
-        with contextlib.suppress(OSError):
+        try:
             os.unlink(scratch)
+        except OSError:
+            pass
         raise
 
 

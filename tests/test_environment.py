@@ -1,46 +1,38 @@
 """The command line's bytes depend on argv and NIM_TRIPLE_MAX_K alone.
 
-The whole golden battery of ``tools/golden.py`` runs under a narrow and a
-wide ``COLUMNS`` and under interpreter decimal limits of 640 and 0
-(unlimited), and each argv must give the exit code, stdout, stderr and
-files recorded in ``tests/golden_cli.json``.  Its environment argvs also run
-in a pair of child processes, the second under ``LC_ALL=C`` without UTF-8
-mode, and both must write the same bytes, all of them ASCII.
+The whole golden battery of ``tools/golden.py`` runs twice, under a narrow
+``COLUMNS`` with an interpreter decimal limit of 640 and under a wide one with
+no limit, and each argv must give the exit code, stdout, stderr and files
+recorded in ``tests/golden_cli.json``; ``tests/test_golden_cli.py`` runs it
+with neither set.  Its environment argvs also run in a pair of child
+processes, the second under ``LC_ALL=C`` without UTF-8 mode, and both must
+write the same bytes, all of them ASCII.
 """
 
-import importlib.util
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
-golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden)
+from conftest import child_env, golden
 
 
 @pytest.mark.parametrize(
     "columns,digits",
-    [("30", None), ("200", None), (None, 640), (None, 0)],
-    ids=["COLUMNS=30", "COLUMNS=200", "digits=640", "digits=unlimited"],
+    [("30", 640), ("200", 0)],
+    ids=["COLUMNS=30-digits=640", "COLUMNS=200-digits=unlimited"],
 )
 def test_output_ignores_the_terminal_width_and_the_decimal_limit(
     monkeypatch, tmp_path, columns, digits
 ):
     expected = json.loads(golden.GOLDEN.read_text(encoding="ascii"))
-    monkeypatch.delenv("COLUMNS", raising=False)
-    if columns is not None:
-        monkeypatch.setenv("COLUMNS", columns)
+    monkeypatch.setenv("COLUMNS", columns)
     saved = sys.get_int_max_str_digits()
-    if digits is not None:
-        sys.set_int_max_str_digits(digits)
+    sys.set_int_max_str_digits(digits)
     try:
         runs = [golden.record(argv, max_k, str(tmp_path)) for argv, max_k in golden.battery()]
-        assert sys.get_int_max_str_digits() == (saved if digits is None else digits)
+        assert sys.get_int_max_str_digits() == digits
     finally:
         sys.set_int_max_str_digits(saved)
     assert len(runs) == len(expected)
@@ -60,18 +52,14 @@ for argv in json.load(sys.stdin):
 def test_output_ignores_the_locale(tmp_path):
     # under LC_ALL=C without UTF-8 mode stderr is ASCII, and a non-ASCII
     # character would come out as a backslash escape
-    src = str(ROOT / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
-    for name in ("PYTHONIOENCODING", "PYTHONUTF8", "COLUMNS", "PYTHONINTMAXSTRDIGITS"):
-        env.pop(name, None)
+    unset = dict.fromkeys(("PYTHONIOENCODING", "PYTHONUTF8", "COLUMNS", "PYTHONINTMAXSTRDIGITS"))
     runs = []
     for flags, extra in (([], {}), (["-X", "utf8=0"], {"LC_ALL": "C"})):
         proc = subprocess.run(
             [sys.executable, *flags, "-c", _CHILD],
             input=json.dumps(golden._ENVIRONMENT).encode(),
             capture_output=True,
-            env={**env, **extra},
+            env=child_env(**unset, **extra),
             cwd=tmp_path,
             timeout=120,
         )

@@ -6,16 +6,11 @@ stderr and the SHA-256 of each file written.  A change that alters the bytes
 on purpose regenerates the file with ``tools/golden.py --write``.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
-golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden)
+from conftest import golden
 
 BATTERY = golden.battery()
 EXPECTED = json.loads(golden.GOLDEN.read_text(encoding="ascii"))

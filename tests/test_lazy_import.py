@@ -5,8 +5,10 @@ Without numpy, which the ``grid`` extra installs, everything else still runs.
 The kernel builds grids in plain bytes, so no command loads numpy.  The
 package resolves every public name on first use, so its import loads no
 submodule, a command loads only the submodules it runs, and ``json`` only
-under ``--json``.  No module imports ``typing`` or ``__future__``, and on a
-bare interpreter no command loads either, nor ``dataclasses`` nor numpy.
+under ``--json``.  No module imports ``typing`` or ``__future__``.  One child
+per command, on a bare interpreter, checks both what the command adds and
+that nothing in the process loads ``typing``, ``__future__``,
+``dataclasses``, ``contextlib`` or numpy.
 
 Each check runs in a fresh interpreter, because the test process has loaded
 numpy long before.  Nothing here asserts a timing.  The bytes each command
@@ -16,28 +18,24 @@ uninstalled.
 
 import ast
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import SRC, child_env
 from nimtriples.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "nimtriples"
 
 
 def fresh(code, *args, cwd=None, read=json.loads, flags=()):
     """``read`` of what ``code`` printed, run in a new interpreter that imports from src."""
-    env = {k: v for k, v in os.environ.items() if k != "NIM_TRIPLE_MAX_K"}
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, *flags, "-c", code, *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         cwd=cwd,
         timeout=60,
     )
@@ -123,20 +121,25 @@ def test_everything_but_classification_grid_runs_without_numpy(tmp_path):
     assert (blocked / "r.pgm").read_bytes() == (loaded / "r.pgm").read_bytes()
 
 
-# The modules that only some commands load.  The child prints with repr, not
-# json, because json is one of them.
+# The modules that only some commands load.
 _OPTIONAL = {"json"} | {
     f"nimtriples.{name}" for name in ("triangles", "advisor", "mex", "render", "_kernel", "_census")
 }
 
+# The child runs under -S, since site's hooks may load typing first, and
+# imports re and sys first, as the console script's wrapper does.  It prints
+# what the import and the command added, what they gave, and which watched
+# modules are loaded at the end.  It prints with repr, not json, and swaps
+# sys.stdout itself, not with contextlib, because it watches both.
 _MODULES_CHILD = """
-import contextlib, io, sys
+import io, re, sys
 before = set(sys.modules)
 from nimtriples.cli import main
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    code = main(sys.argv[1:])
-print(repr([sorted(set(sys.modules) - before), code, out.getvalue()]))
+sys.stdout = io.StringIO()
+code = main(sys.argv[1:])
+out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
+watched = {"typing", "__future__", "dataclasses", "contextlib", "numpy"}
+print(repr([sorted(set(sys.modules) - before), code, out, sorted(watched & set(sys.modules))]))
 """
 
 
@@ -165,12 +168,14 @@ print(repr([sorted(set(sys.modules) - before), code, out.getvalue()]))
 )
 def test_command_loads_only_its_own_modules(tmp_path, capsys, monkeypatch, argv, loads, as_json):
     argv = ["--json", *argv] if as_json else argv
-    added, code, out = fresh(_MODULES_CHILD, *argv, cwd=tmp_path, read=ast.literal_eval)
+    added, code, out, watched = fresh(
+        _MODULES_CHILD, *argv, cwd=tmp_path, read=ast.literal_eval, flags=["-S"]
+    )
     # json loads only to format a result, and a capped run (exit 3) formats none
     formats = {"json"} if as_json and code == 0 else set()
     expected = {f"nimtriples.{name}" for name in loads} | formats
     assert set(added) & _OPTIONAL == expected
-    assert "numpy" not in added
+    assert watched == []
     # the same bytes as a run in this process, where every module is loaded
     monkeypatch.chdir(tmp_path)
     assert (code, out) == (main(argv), capsys.readouterr().out)
@@ -272,38 +277,6 @@ import nimtriples
 print(repr(sorted(set(sys.modules) - before)))
 """
     assert fresh(code, read=ast.literal_eval) == ["nimtriples"]
-
-
-# The console script's wrapper imports re and sys before the package, as this
-# child does; it prints which of five modules the command loaded, last.
-_BARE_CHILD = """
-import re, sys
-from nimtriples.cli import main
-code = main(sys.argv[1:])
-watched = {"typing", "__future__", "dataclasses", "numpy", "nimtriples._census"}
-print(repr([code, sorted(watched & set(sys.modules))]))
-"""
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sum", "5", "3"],
-        ["classify", "5", "1", "2"],
-        ["reorder", "1", "2", "7"],
-        ["mex", "2", "3"],
-        ["table", "4", "--verify"],
-        ["move", "5", "1", "2"],
-        ["census", "3", "--check-closed-form"],
-        ["render", "2", "5", "--out", "r.pgm"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_command_on_a_bare_interpreter_loads_neither_typing_nor_future(tmp_path, argv):
-    # nor dataclasses nor numpy; -S skips site, whose hooks may load typing first
-    lines = fresh(_BARE_CHILD, *argv, cwd=tmp_path, read=str.splitlines, flags=["-S"])
-    census = ["nimtriples._census"] if argv[0] == "census" else []
-    assert ast.literal_eval(lines[-1]) == [0, census]
 
 
 def _runs_at_import(body):

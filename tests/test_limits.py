@@ -1,11 +1,10 @@
-import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from nimtriples import (
     MEX_ENUMERATION_CAP,
     CapExceeded,
@@ -96,9 +95,7 @@ def test_census_check_cap_holds_whatever_max_k_says(monkeypatch, k, named):
     monkeypatch.setattr(_kernel, "count", _no_kernel)
     message = rf"^census check k={named} exceeds cap {CENSUS_CHECK_MAX_K}$"
     for raw in (None, "16", "banana"):
-        if raw is None:
-            monkeypatch.delenv("NIM_TRIPLE_MAX_K", raising=False)
-        else:
+        if raw is not None:
             monkeypatch.setenv("NIM_TRIPLE_MAX_K", raw)
         with pytest.raises(CapExceeded, match=message):
             census_closed_form_check(k)
@@ -108,9 +105,7 @@ def test_census_check_cap_holds_whatever_max_k_says(monkeypatch, k, named):
 
 @pytest.mark.parametrize("raw", [None, "2", "banana"])
 def test_census_check_reads_no_environment(monkeypatch, raw):
-    if raw is None:
-        monkeypatch.delenv("NIM_TRIPLE_MAX_K", raising=False)
-    else:
+    if raw is not None:
         monkeypatch.setenv("NIM_TRIPLE_MAX_K", raw)
     assert census_closed_form_check(8)
 
@@ -165,14 +160,11 @@ def test_table_at_its_cap_stays_under_12_bytes_a_cell():
     # tracemalloc slows this fill about 24 times, so a child reports its peak resident size;
     # the rows hold n * n pointers, 8 bytes a cell and an eighth more spare, and the cells
     # share 2n - 1 int objects
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = subprocess.run(
         [sys.executable, "-c", _TABLE_RSS, str(TABLE_MAX_N)],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=60,
         check=True,
     )

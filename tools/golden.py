@@ -14,6 +14,8 @@ file stays small; the argvs themselves come from ``battery()``.
 it is the one test of what an argv writes: a new argv to check becomes an
 entry of ``_EDGES``, the last section, so every earlier entry keeps its
 index.  ``tests/test_cli.py`` keeps only what a run in process cannot show.
+The fuzz section's argvs come from ``_draw``, which ``tests/test_cli_fuzz.py``
+also runs, with a random that Hypothesis controls in place of a seeded one.
 CI runs the comparison once more after uninstalling numpy, so every argv
 is also checked without it.  A change that alters the bytes on purpose
 regenerates the file, and the diff of the file is the record of what
@@ -41,7 +43,9 @@ FUZZ_DRAWS = 400
 CORNER_SEED = 21
 CORNER_DRAWS = 150
 
-COMMANDS = ["sum", "classify", "reorder", "mex", "table", "move", "census", "render"]
+# the operands each command takes; move takes any number from one up
+_ARITY = dict(sum=2, classify=3, reorder=3, mex=2, table=1, move=3, census=1, render=2)
+COMMANDS = list(_ARITY)
 WIDE = "0x" + "f" * 4000  # 16000 bits, about 4817 decimal digits
 LONG_TOKEN = "9" * 4999 + "x"
 
@@ -197,8 +201,8 @@ _EDGES = [
     (["render", "1", "0", "--out", "x" * 250], None),  # a legal name near NAME_MAX
 ]
 
-# The token kinds of tests/test_cli_fuzz.py, drawn from random.Random.
-_ARITY = dict(sum=2, classify=3, reorder=3, mex=2, table=1, move=3, census=1, render=2)
+# The argv generator of the fuzz section, and of tests/test_cli_fuzz.py, which
+# hands it a random that Hypothesis controls and shrinks.
 _FLAGS = ["--json", "--all", "--verify", "--check-closed-form", "-h", "--timing"]
 _TEXT = "abhxyz019-_=., \n\t\x00\xe9€\U0001d7d9"
 
