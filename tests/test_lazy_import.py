@@ -6,9 +6,9 @@ The kernel builds grids in plain bytes, so no command loads numpy.  The
 package resolves every public name on first use, so its import loads no
 submodule, a command loads only the submodules it runs, and ``json`` only
 under ``--json``.  No module imports ``typing`` or ``__future__``.  One child
-per command, on a bare interpreter, checks both what the command adds and
-that nothing in the process loads ``typing``, ``__future__``,
-``dataclasses``, ``contextlib`` or numpy.
+per command, on a bare interpreter that can still import numpy, checks both
+what the command adds and that nothing in the process loads ``typing``,
+``__future__``, ``dataclasses``, ``contextlib`` or numpy.
 
 Each check runs in a fresh interpreter, because the test process has loaded
 numpy long before.  Nothing here asserts a timing.  The bytes each command
@@ -20,22 +20,29 @@ import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy
 import pytest
 
 from conftest import SRC, child_env
 from nimtriples.cli import main
 
 PACKAGE = SRC / "nimtriples"
+# The directory numpy is installed in, which -S leaves off the path.
+NUMPY_HOME = str(Path(numpy.__file__).parents[1])
 
 
-def fresh(code, *args, cwd=None, read=json.loads, flags=()):
-    """``read`` of what ``code`` printed, run in a new interpreter that imports from src."""
+def fresh(code, *args, cwd=None, read=json.loads, flags=(), path=()):
+    """``read`` of what ``code`` printed, run in a new interpreter that imports from src.
+
+    Each directory in ``path`` goes on the child's path after src.
+    """
     proc = subprocess.run(
         [sys.executable, *flags, "-c", code, *args],
         capture_output=True,
         text=True,
-        env=child_env(),
+        env=child_env(*path),
         cwd=cwd,
         timeout=60,
     )
@@ -126,11 +133,13 @@ _OPTIONAL = {"json"} | {
     f"nimtriples.{name}" for name in ("triangles", "advisor", "mex", "render", "_kernel", "_census")
 }
 
-# The child runs under -S, since site's hooks may load typing first, and
-# imports re and sys first, as the console script's wrapper does.  It prints
-# what the import and the command added, what they gave, and which watched
-# modules are loaded at the end.  It prints with repr, not json, and swaps
-# sys.stdout itself, not with contextlib, because it watches both.
+# The child runs under -S, since site's hooks may load typing first, with
+# numpy's directory on its path, so a command that tried numpy would load it;
+# it imports re and sys first, as the console script's wrapper does.  It
+# prints what the import and the command added, what they gave, which watched
+# modules are loaded at the end, and then whether it can find numpy.  It
+# prints with repr, not json, and swaps sys.stdout itself, not with
+# contextlib, because it watches both.
 _MODULES_CHILD = """
 import io, re, sys
 before = set(sys.modules)
@@ -139,7 +148,9 @@ sys.stdout = io.StringIO()
 code = main(sys.argv[1:])
 out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
 watched = {"typing", "__future__", "dataclasses", "contextlib", "numpy"}
-print(repr([sorted(set(sys.modules) - before), code, out, sorted(watched & set(sys.modules))]))
+added, loaded = sorted(set(sys.modules) - before), sorted(watched & set(sys.modules))
+import importlib.util
+print(repr([added, code, out, loaded, importlib.util.find_spec("numpy") is not None]))
 """
 
 
@@ -168,14 +179,14 @@ print(repr([sorted(set(sys.modules) - before), code, out, sorted(watched & set(s
 )
 def test_command_loads_only_its_own_modules(tmp_path, capsys, monkeypatch, argv, loads, as_json):
     argv = ["--json", *argv] if as_json else argv
-    added, code, out, watched = fresh(
-        _MODULES_CHILD, *argv, cwd=tmp_path, read=ast.literal_eval, flags=["-S"]
+    added, code, out, watched, finds_numpy = fresh(
+        _MODULES_CHILD, *argv, cwd=tmp_path, read=ast.literal_eval, flags=["-S"], path=[NUMPY_HOME]
     )
     # json loads only to format a result, and a capped run (exit 3) formats none
     formats = {"json"} if as_json and code == 0 else set()
     expected = {f"nimtriples.{name}" for name in loads} | formats
     assert set(added) & _OPTIONAL == expected
-    assert watched == []
+    assert finds_numpy and watched == []
     # the same bytes as a run in this process, where every module is loaded
     monkeypatch.chdir(tmp_path)
     assert (code, out) == (main(argv), capsys.readouterr().out)
