@@ -19,10 +19,10 @@ cells, and the blocks follow one another in ascending ``j``.
 Two scales.  With ``lo = k // 2``, ``m = 2**lo`` and ``u = uh*m + ul``, row
 ``x`` is ``uh*m`` loose cells, then row ``x mod m`` of the ``lo``-bit grid
 of ``s mod m`` (the lemma at ``ul``), then the blocks of the 0 digits
-``j >= lo`` of ``u``.  The ``m`` rows that share ``uh`` share the first and
-the last part, so the grid is ``2 * 2**k + 2**(k - lo)`` references to
-strings no longer than ``2**k - m``, and no string as long as a row is
-built before the caller joins them.
+``j >= lo`` of ``u``, from two tables of ``2**lo`` and ``2**(k - lo)``
+entries.  The ``m`` rows that share ``uh`` share the first and the last
+part, so the grid is ``2 * 2**k + 2**(k - lo)`` references to strings no
+longer than ``2**k - m``: nothing as long as a row is built before the join.
 """
 
 from collections import Counter
@@ -30,9 +30,16 @@ from collections import Counter
 __all__ = ["count", "pieces"]
 
 
-def _blocks(u: int, bits: int, s: int, size: int, tight: bytes, loose: bytes) -> bytes:
-    """``size << j`` cells for each 0 digit ``j < bits`` of ``u``: tight where ``s`` has a 1."""
-    return b"".join((loose, tight)[s >> j & 1] * (size << j) for j in range(bits) if not u >> j & 1)
+def _blocks(bits: int, s: int, size: int, tight: bytes, loose: bytes) -> list[bytes]:
+    """Entry ``u``: ``size << j`` cells per 0 digit ``j < bits`` of ``u``, tight at a 1 of ``s``.
+
+    After digits ``0..j-1``, entry ``u`` holds the blocks of the 0 digits of ``u`` below ``j`` in
+    ascending order; of the next level, the first half (a 0 at ``j``) gets ``block`` appended."""
+    out = [b""]
+    for j in range(bits):
+        block = (loose, tight)[s >> j & 1] * (size << j)
+        out = [t + block for t in out] + out
+    return out
 
 
 def pieces(k: int, s: int, flat: int, tight: int, loose: int) -> list[bytes]:
@@ -47,13 +54,13 @@ def pieces(k: int, s: int, flat: int, tight: int, loose: int) -> list[bytes]:
         # s has a digit above every coordinate, so msb(t) = msb(s) and the
         # digits there are (1, 0, 0): the case table makes every cell loose.
         return [bytes([loose]) * n] * n
-    lo = k // 2
-    hi, m = k - lo, 1 << lo
+    lo, m = k // 2, 1 << k // 2
     flat, tight, loose = bytes([flat]), bytes([tight]), bytes([loose])
-    rows = [loose * (u := s % m ^ x) + flat + _blocks(u, lo, s, 1, tight, loose) for x in range(m)]
+    small, large = _blocks(lo, s, 1, tight, loose), _blocks(k - lo, s >> lo, m, tight, loose)
+    rows = [loose * (u := s % m ^ x) + flat + small[u] for x in range(m)]
     grid = []
-    for u in (s >> lo ^ x for x in range(1 << hi)):
-        before, after = loose * (u * m), _blocks(u, hi, s >> lo, m, tight, loose)
+    for u in (s >> lo ^ x for x in range(n >> lo)):
+        before, after = loose * (u * m), large[u]
         run = [after + before] * (2 * m + 1)
         run[0], run[1::2], run[-1] = before, rows, after
         grid += run

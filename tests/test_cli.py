@@ -6,6 +6,7 @@ fails or is closed, a check made to fail, traced memory, a file the render
 replaces, and the README's examples.
 """
 
+import argparse
 import errno
 import json
 import os
@@ -233,6 +234,18 @@ def test_parse_args_rewrites_the_argv_argparse_gets(monkeypatch, argv, parsed):
     # so only a 3.13 run of the battery would see a rewrite go
     monkeypatch.setattr(_Parser, "parse_known_args", lambda self, args, namespace=None: (args, []))
     assert build_parser().parse_args(argv.split()) == parsed.split()
+
+
+def test_an_option_after_dash_equals_matches_no_option(monkeypatch, capsys):
+    # 3.13.13 matches "-=x" with every option by its "-"; stand that in on every version
+    two = [(None, "--json", None, "x"), (None, "-h", None, "x")]
+    monkeypatch.setattr(argparse.ArgumentParser, "_get_option_tuples", lambda self, option: two)
+    parser = build_parser()
+    assert parser._get_option_tuples("-=x") == []
+    assert capsys.readouterr().err == ""
+    with pytest.raises(SystemExit):  # the stand-in reaches the ambiguity check
+        parser._get_option_tuples("--=x")
+    assert "error: ambiguous option: --=x could match --json, -h" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ of one strategy they took about three quarters of the examples.
 import contextlib
 import io
 import os
+import sys
 from unittest import mock
 
 import pytest
@@ -26,6 +27,17 @@ from hypothesis import strategies as st
 
 from conftest import golden
 from nimtriples.cli import main
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _unlimited_int_strings():
+    # Hypothesis formats a failing example's choices with str() before it shrinks,
+    # and _draw's wide operands pass the default limit of 4300 digits; main sets
+    # and restores its own limit, and a function-scoped fixture fails a health check
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture(scope="module")

@@ -95,6 +95,47 @@ def test_pieces_are_few_and_none_as_long_as_a_row():
             assert max(map(len, cells)) <= n - m, (k, s)
 
 
+def _joined_blocks(u, bits, s, size, tight, loose):
+    # the definition of a block table's entry: one join over the 0 digits of u
+    return b"".join((loose, tight)[s >> j & 1] * (size << j) for j in range(bits) if not u >> j & 1)
+
+
+def _pieces_joined_per_row(k, s, flat, tight, loose):
+    # pieces as built with one join per small row and one per run, no tables
+    n = 1 << k
+    if s >= n:
+        return [bytes([loose]) * n] * n
+    lo = k // 2
+    hi, m = k - lo, 1 << lo
+    flat, tight, loose = bytes([flat]), bytes([tight]), bytes([loose])
+    rows = [
+        loose * (u := s % m ^ x) + flat + _joined_blocks(u, lo, s, 1, tight, loose) for x in range(m)
+    ]
+    grid = []
+    for u in (s >> lo ^ x for x in range(1 << hi)):
+        before, after = loose * (u * m), _joined_blocks(u, hi, s >> lo, m, tight, loose)
+        run = [after + before] * (2 * m + 1)
+        run[0], run[1::2], run[-1] = before, rows, after
+        grid += run
+    return grid
+
+
+@pytest.mark.parametrize("size", [1, 4])
+@pytest.mark.parametrize("bits", range(7))
+def test_block_table_entry_u_is_the_join_over_the_0_digits_of_u(bits, size):
+    for s in range(1 << bits + 1):
+        table = _kernel._blocks(bits, s, size, b"T", b"L")
+        assert len(table) == 1 << bits
+        for u, entry in enumerate(table):
+            assert entry == _joined_blocks(u, bits, s, size, b"T", b"L"), (bits, s, size, u)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_pieces_equal_the_pieces_joined_per_row(k):
+    for s in [*range(1 << k + 1), *WIDE_C]:
+        assert _kernel.pieces(k, s, 0, 1, 2) == _pieces_joined_per_row(k, s, 0, 1, 2), (k, s)
+
+
 @pytest.mark.parametrize(
     ("k", "c", "digest"),
     [
