@@ -9,32 +9,23 @@ the CLI writes only ASCII of its own.
 Exit codes: 0 success, 1 failed verification or write error, 2 usage error,
 3 cap exceeded: an enumeration cap, or an integer too long to print in decimal.
 Each command returns its payload, text and exit code; ``main`` parses,
-computes, formats and writes, and returns every exit code: it turns
-argparse's SystemExit for help (0) and usage errors (2) into its return
-value.  A stderr that fails changes no exit code.
+computes, formats and writes, and returns every exit code.  A parse ends
+early only in help, exit 0 on stdout, or a usage error, exit 2 on stderr,
+which ``main`` writes and returns.  A stderr that fails changes no exit code.
 """
 
-import argparse
-import functools
 import os
 import re
 import sys
 from collections.abc import Callable, Iterator
+from types import SimpleNamespace
 
 # Every parse needs these two; each command imports the rest of the library
 # in its own body, so a process loads only the modules its command runs.
 from .limits import DECIMAL_DIGITS, CapExceeded
 from .natural import _token, nim_sum, parse_natural
 
-__all__ = ["build_parser", "main"]
-
-
-def _natural(text: str) -> int:
-    """``parse_natural`` for argparse, naming a rejected token in at most ``_token`` length."""
-    try:
-        return parse_natural(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid parse_natural value: {_token(text)}") from None
+__all__ = ["main"]
 
 
 def _to_devnull(stream) -> None:
@@ -58,142 +49,6 @@ def _error(message: str) -> None:
     _to_stderr(f"error: {message}\n")
 
 
-# argparse's width where there is no terminal, fixed so that neither a terminal
-# nor COLUMNS changes a help or usage line
-_HELP_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse of fixed help width, whose usage errors go through ``_token``, and help can fail.
-
-    argparse drops an OSError from writing help to stdout, so help to an
-    unbuffered stdout that fails would exit 0 with nothing written; here
-    it reaches ``main``, which reports it with exit 1.  Usage errors go
-    through ``_to_stderr``: argparse would leave a failed write's bytes for
-    the flush at exit (exit 120), and print its usage line to stdout when
-    ``sys.stderr`` is None.  Subparsers are ``_Parser`` too.  argparse's
-    grammar changed at its corners within 3.13; with ``parse_args`` and the
-    overrides below every version reads an argv as 3.10 to 3.12 do, but for
-    a lone ``"--"`` operand, which each converts as 3.13.13 does.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, formatter_class=_HELP_FORMATTER, **kwargs)
-
-    def _print_message(self, message, file=None):
-        if message and file is not None and file is sys.stdout:
-            file.write(message)
-        elif message:
-            _to_stderr(message)
-
-    def error(self, message):
-        # argparse quotes a value given to a flag whole; echo it by _token's rule
-        ignored = re.fullmatch(r"(argument \S+: ignored explicit argument )(.*)", message)
-        if ignored:
-            import ast
-
-            message = ignored[1] + _token(ast.literal_eval(ignored[2]))
-        self.exit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
-
-    def _check_value(self, action, value):
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            raise argparse.ArgumentError(
-                action, f"invalid choice: {_token(value)} (choose from {choices})"
-            )
-
-    def _get_option_tuples(self, option_string):
-        # 3.13.13 matches "-=x" with every option by its "-", and refuses an ambiguous
-        # option only once it is consumed; earlier versions refuse it here, at once
-        if option_string.startswith("-="):
-            return []
-        matches = super()._get_option_tuples(option_string)
-        if len(matches) > 1:
-            options = ", ".join(match[1] for match in matches)
-            self.error(f"ambiguous option: {_token(option_string, str)} could match {options}")
-        return matches
-
-    def _get_values(self, action, arg_strings):
-        # up to 3.13.0 argparse strips a lone "--" to [], where 3.13.13 converts it
-        if arg_strings == ["--"] and action.nargs is None:
-            return self._get_value(action, "--")
-        return super()._get_values(action, arg_strings)
-
-    def parse_args(self, args=None, namespace=None):
-        args = list(sys.argv[1:] if args is None else args)
-        head = args.index("--") if "--" in args else len(args)  # options end at the first "--"
-        for i, token in enumerate(args[:head]):
-            # 3.10 to 3.12 read "-hx", "-hhx" and "-h=hhx" as "-h=x", and "-hh" and "-h=h"
-            # as "-h"; 3.13 prints help for "-hx" and refuses "-h=h"
-            rest = token[2:].removeprefix("=").lstrip("h")
-            if token.startswith("-h") and token != "-h=":
-                args[i] = f"-h={rest}" if rest else "-h"
-        if head + 1 < len(args) and None not in map(self._parse_optional, args[:head]):
-            args.insert(head, "--")  # 3.13.13 skips one "--" where the command should be
-        args, extras = self.parse_known_args(args, namespace)
-        if extras:
-            self.error("unrecognized arguments: " + " ".join(_token(t, str) for t in extras))
-        return args
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="nimtriples",
-        description="Nim addition, triangle classification, mex oracles, and greedy tables.",
-    )
-    parser.add_argument("--json", action="store_true", help="emit one JSON object instead of text")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sum", help="Nim sum of two naturals")
-    p.set_defaults(run=_run_sum)
-    p.add_argument("a", type=_natural)
-    p.add_argument("b", type=_natural)
-
-    p = sub.add_parser("classify", help="class, statuses, and discriminant of a triangle")
-    p.set_defaults(run=_run_classify)
-    p.add_argument("a", type=_natural)
-    p.add_argument("b", type=_natural)
-    p.add_argument("c", type=_natural)
-
-    p = sub.add_parser("reorder", help="permute a triple so the first entry dominates")
-    p.set_defaults(run=_run_reorder)
-    p.add_argument("a", type=_natural)
-    p.add_argument("b", type=_natural)
-    p.add_argument("c", type=_natural)
-
-    p = sub.add_parser("mex", help="Nim sum recomputed via the exclusion-set mex oracle")
-    p.set_defaults(run=_run_mex)
-    p.add_argument("a", type=_natural)
-    p.add_argument("b", type=_natural)
-
-    p = sub.add_parser("table", help="greedy minimal operation table")
-    p.set_defaults(run=_run_table)
-    p.add_argument("n", type=_natural)
-    p.add_argument(
-        "--verify", action="store_true", help="check the table against XOR instead of printing it"
-    )
-
-    p = sub.add_parser("move", help="winning-move advice for a Nim position")
-    p.set_defaults(run=_run_move)
-    p.add_argument("piles", type=_natural, nargs="+")
-    p.add_argument("--all", action="store_true", help="list every winning move (3 piles only)")
-
-    p = sub.add_parser("census", help="class tallies over [0, 2**k)^3, counted per discriminant")
-    p.set_defaults(run=_run_census)
-    p.add_argument("k", type=_natural)
-    p.add_argument(
-        "--check-closed-form", action="store_true", help="compare tallies with the closed forms"
-    )
-
-    p = sub.add_parser("render", help="write the classification bitmap as binary PGM")
-    p.set_defaults(run=_run_render)
-    p.add_argument("k", type=_natural)
-    p.add_argument("c", type=_natural)
-    p.add_argument("--out", required=True, help="output file path")
-
-    return parser
-
-
 def _integers(value) -> Iterator[int]:
     """Every int in a payload of dicts, lists and scalars."""
     if isinstance(value, dict):
@@ -214,12 +69,12 @@ class _FileUnwritable(Exception):
     """``render`` could not write its output file; ``main`` reports it with exit 1."""
 
 
-def _run_sum(args: argparse.Namespace) -> _Result:
+def _run_sum(args: SimpleNamespace) -> _Result:
     value = nim_sum(args.a, args.b)
     return {"value": value}, lambda: str(value), 0
 
 
-def _run_classify(args: argparse.Namespace) -> _Result:
+def _run_classify(args: SimpleNamespace) -> _Result:
     from .triangles import classify_triangle
 
     result = classify_triangle(args.a, args.b, args.c)
@@ -234,7 +89,7 @@ def _run_classify(args: argparse.Namespace) -> _Result:
     return payload, lambda: " ".join(parts), 0
 
 
-def _run_reorder(args: argparse.Namespace) -> _Result:
+def _run_reorder(args: SimpleNamespace) -> _Result:
     from .triangles import reorder_dominant
 
     triple, perm = reorder_dominant(args.a, args.b, args.c)
@@ -242,14 +97,14 @@ def _run_reorder(args: argparse.Namespace) -> _Result:
     return payload, lambda: "{} {} {} perm={},{},{}".format(*triple, *perm), 0
 
 
-def _run_mex(args: argparse.Namespace) -> _Result:
+def _run_mex(args: SimpleNamespace) -> _Result:
     from .mex import mex_oracle
 
     value = mex_oracle(args.a, args.b)
     return {"value": value}, lambda: str(value), 0
 
 
-def _run_table(args: argparse.Namespace) -> _Result:
+def _run_table(args: SimpleNamespace) -> _Result:
     from .mex import greedy_minimal_table, table_to_text, verify_table_equals_xor
 
     rows = greedy_minimal_table(args.n)
@@ -264,7 +119,7 @@ def _run_table(args: argparse.Namespace) -> _Result:
     return payload, lambda: text, int(not ok)
 
 
-def _run_move(args: argparse.Namespace) -> _Result:
+def _run_move(args: SimpleNamespace) -> _Result:
     from .advisor import advise_move, winning_moves
 
     if args.all:
@@ -280,7 +135,7 @@ def _run_move(args: argparse.Namespace) -> _Result:
     return payload, lambda: "\n".join(line(*m) for m in moves) or "no-winning-move", 0
 
 
-def _run_census(args: argparse.Namespace) -> _Result:
+def _run_census(args: SimpleNamespace) -> _Result:
     from ._census import census, census_closed_form_check
 
     report = census(args.k)
@@ -316,7 +171,7 @@ def _write_replacing(path: str, chunks: list[bytes]) -> None:
         raise
 
 
-def _run_render(args: argparse.Namespace) -> _Result:
+def _run_render(args: SimpleNamespace) -> _Result:
     from .render import _pgm_chunks
 
     # written piece by piece: joined, a k=12 PGM would be one more 16 MiB object
@@ -329,6 +184,145 @@ def _run_render(args: argparse.Namespace) -> _Result:
     n = 1 << args.k
     payload = {"out": args.out, "width": n, "height": n}
     return payload, lambda: f"out={args.out} width={n} height={n}", 0
+
+
+# The command table: each command's run, help and operands, and its one option as usage shows
+# it, with that option's help.  A "+" operand takes one value or more.  "--out OUT" takes a
+# value and is required.  The program itself is the entry "", whose one operand is the command.
+_COMMANDS = {
+    "": (None, "Nim addition, triangle classification, mex oracles, and greedy tables.",
+         "command", "[--json]", "emit one JSON object instead of text"),
+    "sum": (_run_sum, "Nim sum of two naturals", "a b", "", ""),
+    "classify": (_run_classify, "class, statuses, and discriminant of a triangle", "a b c", "", ""),
+    "reorder": (_run_reorder, "permute a triple so the first entry dominates", "a b c", "", ""),
+    "mex": (_run_mex, "Nim sum recomputed via the exclusion-set mex oracle", "a b", "", ""),
+    "table": (_run_table, "greedy minimal operation table",
+              "n", "[--verify]", "check the table against XOR instead of printing it"),
+    "move": (_run_move, "winning-move advice for a Nim position",
+             "piles+", "[--all]", "list every winning move (3 piles only)"),
+    "census": (_run_census, "class tallies over [0, 2**k)^3, counted per discriminant",
+               "k", "[--check-closed-form]", "compare tallies with the closed forms"),
+    "render": (_run_render, "write the classification bitmap as binary PGM",
+               "k c", "--out OUT", "output file path"),
+}
+_CHOICES = "{" + ",".join(list(_COMMANDS)[1:]) + "}"
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's test for a negative number
+
+
+class _Stop(Exception):
+    """The parse ends early with ``(exit code, text)``: help (0), or a usage error (2)."""
+
+
+def _dest(option: str) -> str:
+    return option.strip("[]").split()[0][2:].replace("-", "_")
+
+
+def _usage(level: str) -> str:
+    """The usage line of ``level``; past 78 columns its operands go on a line of their own."""
+    prog = f"nimtriples {level}".rstrip()
+    line = f"usage: {prog} [-h] {_COMMANDS[level][3]}".rstrip()
+    shown = {"command": _CHOICES + " ...", "piles+": "piles [piles ...]"}
+    tail = " ".join(shown.get(name, name) for name in _COMMANDS[level][2].split())
+    gap = " " if len(line) + len(tail) < 78 else "\n" + " " * (len(prog) + 8)
+    return f"{line}{gap}{tail}\n"
+
+
+def _help(level: str) -> str:
+    """The help of ``level``, laid out as argparse lays it out at 78 columns."""
+    _, about, operands, option, option_help = _COMMANDS[level]
+    named = [({"command": _CHOICES}.get(name, name.rstrip("+")), "") for name in operands.split()]
+    flags = [("-h, --help", "show this help message and exit")]
+    flags += [(option.strip("[]"), option_help)] * bool(option)
+    column = min(24, 4 + max(len(text) for text, _ in named + flags))
+    commands = [(f"  {name}", _COMMANDS[name][1]) for name in _COMMANDS if name and not level]
+
+    def rows(entries):  # each help wrapped greedily at 78 columns, as textwrap wraps these
+        for text, words in entries:
+            first, *rest = re.findall(rf"\S.{{0,{77 - column}}}(?=\s|$)", words) or [""]
+            yield f"  {text:{column - 2}}{first}".rstrip()
+            yield from (" " * column + line for line in rest)
+
+    top = [_usage(level), *[about, ""] * (not level), "positional arguments:"]
+    return "\n".join([*top, *rows(named + commands), "", "options:", *rows(flags), ""])
+
+
+def _fail(level: str, message: str):
+    raise _Stop(2, f"{_usage(level)}{f'nimtriples {level}'.rstrip()}: error: {message}\n")
+
+
+def _option(token: str, level: str) -> tuple[str, str | None] | None:
+    """The option ``token`` names at ``level`` ("" if unknown), and its text after "=", or None."""
+    if token.startswith("-h"):  # as 3.10 to 3.12 read them: "-hhx" and "-h=hx" give "x", "-hh" none
+        rest = token[2:].removeprefix("=").lstrip("h")
+        return "-h/--help", "" if token == "-h=" else rest or None
+    if token[:1] != "-" or token == "-":
+        return None
+    name, equals, explicit = token.partition("=")
+    known = ["--help", *_COMMANDS[level][3].strip("[]").split()[:1]]
+    matches = [option for option in known if token[1] == "-" and option.startswith(name)]
+    if matches:
+        return matches[0].replace("--help", "-h/--help"), explicit if equals else None
+    return None if _NEGATIVE.match(token) or " " in token else ("", None)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """``argv`` read by ``_COMMANDS`` as argparse 3.10 reads it; help and usage errors raise _Stop.
+
+    One walk reads the program's options, its command, then the command's operands and options.
+    An option ends a run of operands, and a "+" operand takes the rest of its run.  Options end
+    at the first "--", which goes with an operand next to it, or else is left over.  A later "--"
+    is an operand like any other, refused as a number where 3.10 would strip it to [].
+    """
+    head = argv.index("--") if "--" in argv else len(argv)
+    for token in argv[:head]:  # refused before any token is consumed
+        if token.startswith("--="):
+            _fail("", f"ambiguous option: {_token(token, str)} could match --help, --json")
+    args = SimpleNamespace(**{_dest(entry[3]): False for entry in _COMMANDS.values() if entry[3]})
+    level, operands, extras, more, taken = "", ["command"], [], None, None
+    tokens = enumerate(argv)  # more: the "+" operand of this run; taken: who took its last token
+    for i, token in tokens:
+        option = _option(token, level) if i < head else None
+        if i == head and (level or i + 1 == len(argv)):  # the first "--"
+            extras += [] if taken or operands else [token]  # a missing operand is refused first
+        elif option is None and not level:
+            if not token or token not in _COMMANDS:
+                choices = f"(choose from {', '.join(map(repr, list(_COMMANDS)[1:]))})"
+                _fail("", f"argument command: invalid choice: {_token(token)} {choices}")
+            args.command = level = token
+            operands = _COMMANDS[level][2].split()
+        elif option is None and (more or operands):  # an operand, for the next operand name
+            name = taken = more or operands.pop(0)
+            more, dest = name if name.endswith("+") else None, name.rstrip("+")
+            try:
+                value = parse_natural(token)
+            except ValueError:
+                _fail(level, f"argument {dest}: invalid parse_natural value: {_token(token)}")
+            setattr(args, dest, [*getattr(args, dest, []), value] if more else value)
+        elif option is None or not option[0]:  # left over: an operand, or an unknown option
+            extras.append(token)
+            more = taken = None
+        else:
+            (name, explicit), more, taken = option, None, None
+            takes = " " in _COMMANDS[level][3] and name != "-h/--help"
+            if explicit is not None and not takes:
+                _fail(level, f"argument {name}: ignored explicit argument {_token(explicit)}")
+            if name == "-h/--help":
+                raise _Stop(0, _help(level))
+            if takes and explicit is None:
+                if i + 1 >= head or _option(argv[i + 1], level) is not None:
+                    _fail(level, f"argument {name}: expected one argument")
+                explicit = next(tokens)[1]
+            setattr(args, _dest(name), True if explicit is None else explicit)
+    if not level:
+        _fail("", "the following arguments are required: command")
+    option = _COMMANDS[level][3]
+    missing = [name.rstrip("+") for name in operands]
+    missing += option.split()[:1] if " " in option and getattr(args, _dest(option)) is False else []
+    if missing:
+        _fail(level, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _fail("", "unrecognized arguments: " + " ".join(_token(token, str) for token in extras))
+    return args
 
 
 def _format(payload: dict, text: Callable[[], str], as_json: bool) -> str:
@@ -355,17 +349,21 @@ def _format(payload: dict, text: Callable[[], str], as_json: bool) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     # parse and format convert DECIMAL_DIGITS digits, whatever PYTHONINTMAXSTRDIGITS says
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(DECIMAL_DIGITS)
     try:
         try:
             try:
-                args = parser.parse_args(argv)
-            except SystemExit as exc:  # help and usage errors
-                return exc.code
-            payload, text, code = args.run(args)
+                args = _parse(list(sys.argv[1:] if argv is None else argv))
+            except _Stop as stop:  # help to stdout, or to stderr with fd 1 closed; errors to stderr
+                code, text = stop.args
+                if code == 0 and sys.stdout is not None:
+                    sys.stdout.write(text)
+                else:
+                    _to_stderr(text)
+                return code
+            payload, text, code = _COMMANDS[args.command][0](args)
             print(_format(payload, text, args.json))
             return code
         finally:

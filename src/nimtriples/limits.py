@@ -9,7 +9,7 @@ from .natural import _echo, parse_natural, require_natural, shown
 MEX_ENUMERATION_CAP = 1 << 20
 
 # The greedy table fills n * (n + 1) / 2 cells in Python and mirrors the rest;
-# n = 1024 takes 0.18..0.24 s on a 2-vCPU VM.
+# the README's cap ledger gives the time and memory at n = 1024.
 TABLE_MAX_N = 1024
 
 DEFAULT_CENSUS_MAX_K = 7
@@ -23,8 +23,8 @@ MAX_K_ENV = "NIM_TRIPLE_MAX_K"
 MAX_K_CEILING = 16
 
 # The exhaustive census check sweeps 8**k triples, 3 to 4 times longer per
-# bit, so tens of minutes at k=16; 8**k <= 2**30 keeps it to 0.5..0.7 s on a
-# 2-vCPU VM.
+# bit, so tens of minutes at k=16; the README's cap ledger gives its time at
+# this cap, 8**k = 2**30.
 # It is the check's only cap: neither max_k nor NIM_TRIPLE_MAX_K applies.
 CENSUS_CHECK_MAX_K = 10
 

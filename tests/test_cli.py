@@ -6,7 +6,6 @@ fails or is closed, a check made to fail, traced memory, a file the render
 replaces, and the README's examples.
 """
 
-import argparse
 import errno
 import json
 import os
@@ -19,7 +18,7 @@ import pytest
 
 import nimtriples
 from conftest import ROOT, child_env
-from nimtriples.cli import _Parser, build_parser, main
+from nimtriples.cli import main
 from nimtriples.render import render_pgm
 
 
@@ -207,45 +206,6 @@ def test_help_with_fd_2_closed_goes_to_stdout(argv):
     proc = _child(*argv, stdout=subprocess.PIPE, stderr=None, preexec_fn=lambda: os.close(2))
     out, _ = proc.communicate(timeout=60)
     assert (proc.returncode, out) == (0, expected)
-
-
-@pytest.mark.parametrize(
-    "argv,parsed",
-    [
-        # "-h" tokens before the first "--" read as 3.10 to 3.12 read them
-        ("-hx", "-h=x"),
-        ("-hhx", "-h=x"),
-        ("-h=hhx", "-h=x"),
-        ("-hh", "-h"),
-        ("-h=h", "-h"),
-        ("-h=", "-h="),
-        ("sum 1 -hx", "sum 1 -h=x"),
-        # a "--" with only options before it and more tokens after it is doubled
-        ("-- sum -hx", "-- -- sum -hx"),
-        ("-- sum 1 2", "-- -- sum 1 2"),
-        ("--json -- sum 1 2", "--json -- -- sum 1 2"),
-        ("sum -- 1 2", "sum -- 1 2"),
-        ("--", "--"),
-        ("--json --", "--json --"),
-    ],
-)
-def test_parse_args_rewrites_the_argv_argparse_gets(monkeypatch, argv, parsed):
-    # argparse up to 3.12 reads the raw tokens as it reads the rewritten ones,
-    # so only a 3.13 run of the battery would see a rewrite go
-    monkeypatch.setattr(_Parser, "parse_known_args", lambda self, args, namespace=None: (args, []))
-    assert build_parser().parse_args(argv.split()) == parsed.split()
-
-
-def test_an_option_after_dash_equals_matches_no_option(monkeypatch, capsys):
-    # 3.13.13 matches "-=x" with every option by its "-"; stand that in on every version
-    two = [(None, "--json", None, "x"), (None, "-h", None, "x")]
-    monkeypatch.setattr(argparse.ArgumentParser, "_get_option_tuples", lambda self, option: two)
-    parser = build_parser()
-    assert parser._get_option_tuples("-=x") == []
-    assert capsys.readouterr().err == ""
-    with pytest.raises(SystemExit):  # the stand-in reaches the ambiguity check
-        parser._get_option_tuples("--=x")
-    assert "error: ambiguous option: --=x could match --json, -h" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

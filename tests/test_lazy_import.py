@@ -8,7 +8,9 @@ submodule, a command loads only the submodules it runs, and ``json`` only
 under ``--json``.  No module imports ``typing`` or ``__future__``.  One child
 per command, on a bare interpreter that can still import numpy, checks both
 what the command adds and that nothing in the process loads ``typing``,
-``__future__``, ``dataclasses``, ``contextlib`` or numpy.
+``__future__``, ``dataclasses``, ``contextlib``, numpy, ``argparse``,
+``gettext``, ``locale`` or ``textwrap``: the command line reads its argv
+itself.
 
 Each check runs in a fresh interpreter, because the test process has loaded
 numpy long before.  Nothing here asserts a timing.  The bytes each command
@@ -148,6 +150,7 @@ sys.stdout = io.StringIO()
 code = main(sys.argv[1:])
 out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
 watched = {"typing", "__future__", "dataclasses", "contextlib", "numpy"}
+watched |= {"argparse", "gettext", "locale", "textwrap"}
 added, loaded = sorted(set(sys.modules) - before), sorted(watched & set(sys.modules))
 import importlib.util
 print(repr([added, code, out, loaded, importlib.util.find_spec("numpy") is not None]))

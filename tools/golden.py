@@ -9,6 +9,12 @@ file stays small; the argvs themselves come from ``battery()``.
 
     python tools/golden.py          # compare the checkout's CLI with tests/golden_cli.json
     python tools/golden.py --write  # regenerate tests/golden_cli.json
+    python tools/golden.py --against TREE [--draws N]  # this checkout's CLI against TREE's
+
+``--against`` replays N seeded argvs, a third each from ``_draw``, ``_corner``
+and ``_wide_corner``, through this checkout's ``main`` and through the one in
+the checkout at TREE, each in a child process of its own since both packages
+are named ``nimtriples``, and prints every argv whose entry differs.
 
 ``tests/test_golden_cli.py`` makes the same comparison entry by entry, and
 it is the one test of what an argv writes: a new argv to check becomes an
@@ -31,17 +37,20 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden_cli.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden_cli.json"
 LONG = 2048
 MAX_K_ENV = "NIM_TRIPLE_MAX_K"
 FUZZ_SEED = 20151
 FUZZ_DRAWS = 400
 CORNER_SEED = 21
 CORNER_DRAWS = 150
+AGAINST_SEED = 26
 
 # the operands each command takes; move takes any number from one up
 _ARITY = dict(sum=2, classify=3, reorder=3, mex=2, table=1, move=3, census=1, render=2)
@@ -104,7 +113,7 @@ _CAPS = [
     (["sum", WIDE, "1"], None),
 ]
 
-# Each shape of usage error argparse makes, and the corners of its grammar.
+# Each shape of usage error, and the corners of the grammar.
 _USAGE = [
     ["sum", "1"],
     ["sum", "1", "2", "3"],
@@ -136,7 +145,7 @@ _USAGE = [
     ["render", "2", "1", "--out=--"],
 ]
 
-# The shapes at the corners of argparse's grammar, drawn 1 to 6 at a time.
+# The shapes at the corners of the grammar, drawn 1 to 6 at a time.
 _VOCABULARY = [
     *("--", "-h", "-hh", "-hx", "-hhx", "-h x", "-hh=", "-h=", "-h-", "--=x", "--="),
     *("--js", "--json", "--json=1", "--help", "--he", "-5", "-x"),
@@ -199,6 +208,28 @@ _EDGES = [
     (["sum", "1", "-h=hhx", "2"], None),
     (["-h=hh"], None),
     (["render", "1", "0", "--out", "x" * 250], None),  # a legal name near NAME_MAX
+    # the corners of the grammar that no entry above reaches: an option, known or
+    # not, ends a run of piles; the first "--" with no operand next to it is left
+    # over, and is no value for --out, nor is an option; a trailing "--" before the
+    # command; a negative number in another script, and a token with a space, are
+    # operands
+    (["move", "1", "--all", "2"], None),
+    (["move", "1", "--timing", "2"], None),
+    (["table", "4", "--verify", "--"], None),
+    (["render", "1", "0", "--out", "--", "x.pgm"], None),
+    (["render", "1", "0", "--out", "--json"], None),
+    (["--json", "--"], None),
+    (["sum", "-\u0663", "1"], None),
+    (["sum", "1", "-x y"], None),
+    # a "--" before the command, alone or after an option; a "--" after the last
+    # operand goes with it, but after a left-over one is left over too; and help
+    # takes no value where the command's option does
+    (["--", "sum", "-hx"], None),
+    (["--json", "--", "sum", "1", "2"], None),
+    (["--"], None),
+    (["sum", "1", "2", "--"], None),
+    (["sum", "1", "2", "3", "--"], None),
+    (["render", "1", "0", "-hx"], None),
 ]
 
 # The argv generator of the fuzz section, and of tests/test_cli_fuzz.py, which
@@ -258,6 +289,32 @@ def _draw(rng):
 
 def _corner(rng):
     return [rng.choice(_VOCABULARY) for _ in range(rng.randint(1, 6))]
+
+
+# More shapes at the corners of the grammar, for --against only: abbreviated options,
+# values given to options and operands that look like options; "--" is drawn three
+# times as often as in _VOCABULARY, since where the first one falls matters most.
+_WIDE_VOCABULARY = [
+    *_VOCABULARY,
+    *("-", "", "---", "--he=x", "--help=", "--j", "--json x", "--o", "--o=x.pgm", "--out="),
+    *("--ver", "--verify=", "--a", "--all=x", "--c", "--check-closed-form", "--c=1", "--x"),
+    *("-5\n", "-\u0663", "-1.5", "-.5", "-0x5", "a b", "-x y", "-h==x", "-h=h", "-hh="),
+    *("x.pgm", "4", "5", "0x3", "0b1", "--", "--"),
+]
+
+
+def _wide_corner(rng):
+    """A command near the front, among small numbers and the wide vocabulary, half each."""
+    pick = [lambda: str(rng.randint(0, 5)), lambda: rng.choice(_WIDE_VOCABULARY)]
+    tokens = [rng.choice(pick)() for _ in range(rng.randint(0, 6))]
+    tokens.insert(rng.randint(0, min(2, len(tokens))), rng.choice(COMMANDS))
+    return tokens
+
+
+def draws(count: int) -> list[tuple[list[str], str | None]]:
+    """``count`` seeded (argv, NIM_TRIPLE_MAX_K) for --against, from each generator in turn."""
+    rng, kinds = random.Random(AGAINST_SEED), [(_draw, "4"), (_corner, None), (_wide_corner, None)]
+    return [(draw(rng), max_k) for i in range(count) for draw, max_k in [kinds[i % 3]]]
 
 
 def battery() -> list[tuple[list[str], str | None]]:
@@ -321,13 +378,36 @@ def record(argv: list[str], max_k: str | None, workdir: str) -> dict:
     }
 
 
+def _replay(tree: str, count: int) -> list[dict]:
+    """The entries of ``draws(count)`` as the checkout at ``tree`` writes them, run in a child."""
+    src = str(Path(tree).resolve() / "src")
+    child = [sys.executable, __file__, "--replay", src, "--draws", str(count)]
+    return json.loads(subprocess.run(child, stdout=subprocess.PIPE, check=True).stdout)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description="Compare the CLI with its golden battery.")
     parser.add_argument("--write", action="store_true", help=f"regenerate {GOLDEN.name}")
-    write = parser.parse_args().write
+    parser.add_argument("--against", metavar="TREE", help="compare with TREE's CLI on seeded argvs")
+    parser.add_argument("--draws", type=int, default=18000, help="argvs for --against")
+    parser.add_argument("--replay", metavar="SRC", help=argparse.SUPPRESS)  # --against's child
+    args = parser.parse_args()
+    if args.replay:
+        sys.path.insert(0, args.replay)
+        with tempfile.TemporaryDirectory() as workdir:
+            entries = [record(argv, max_k, workdir) for argv, max_k in draws(args.draws)]
+        json.dump(entries, sys.stdout)
+        return 0
+    if args.against:
+        here, there = _replay(str(ROOT), args.draws), _replay(args.against, args.draws)
+        changed = [(mine, theirs) for mine, theirs in zip(here, there) if mine != theirs]
+        for mine, theirs in changed:
+            print(f"differs: {mine['argv']!r}\n  here:  {mine!r}\n  there: {theirs!r}")
+        print(f"{len(changed)} of {len(here)} argvs differ from {args.against}")
+        return int(bool(changed) or len(here) != args.draws)
     with tempfile.TemporaryDirectory() as workdir:
         entries = [record(argv, max_k, workdir) for argv, max_k in battery()]
-    if write:
+    if args.write:
         GOLDEN.write_text(json.dumps(entries, indent=1) + "\n", encoding="ascii")
         print(f"wrote {len(entries)} entries to {GOLDEN}")
         return 0
@@ -341,5 +421,5 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    sys.path.insert(0, str(ROOT / "src"))
     sys.exit(main())
