@@ -9,11 +9,14 @@ the CLI writes only ASCII of its own.
 Exit codes: 0 success, 1 failed verification or write error, 2 usage error,
 3 cap exceeded: an enumeration cap, or an integer too long to print in decimal.
 Each command returns its payload, text and exit code; ``main`` parses,
-computes, formats and writes, and returns every exit code.  A parse ends
-early only in help, exit 0 on stdout, or a usage error, exit 2 on stderr,
-which ``main`` writes and returns.  A stderr that fails changes no exit code.
+computes, formats and writes, and returns every exit code.  A run ends
+early only in a ``_Stop(code, text)``, or in a library refusal that ``main``
+reads as one: a cap (3) or a bad value (2).  ``main`` writes every early end
+in one place, help on stdout and the rest on stderr.  A stderr that fails
+changes no exit code.
 """
 
+import errno
 import os
 import re
 import sys
@@ -45,10 +48,6 @@ def _to_stderr(text: str) -> None:
         _to_devnull(sys.stderr)
 
 
-def _error(message: str) -> None:
-    _to_stderr(f"error: {message}\n")
-
-
 def _integers(value) -> Iterator[int]:
     """Every int in a payload of dicts, lists and scalars."""
     if isinstance(value, dict):
@@ -65,8 +64,8 @@ def _integers(value) -> Iterator[int]:
 _Result = tuple[dict, Callable[[], str], int]
 
 
-class _FileUnwritable(Exception):
-    """``render`` could not write its output file; ``main`` reports it with exit 1."""
+class _Stop(Exception):
+    """The run ends early with ``(exit code, text)``: help (0), a failed write (1), misuse (2)."""
 
 
 def _run_sum(args: SimpleNamespace) -> _Result:
@@ -179,8 +178,9 @@ def _run_render(args: SimpleNamespace) -> _Result:
     try:
         _write_replacing(args.out, chunks)
     except OSError as exc:
-        # strerror alone: the OSError may name the temporary file, whose name holds the pid
-        raise _FileUnwritable(f"cannot write {args.out}: {exc.strerror}") from None
+        # strerror alone, as the OSError may name the pid's temporary file; a name too long is cut
+        out = _token(args.out, str) if exc.errno == errno.ENAMETOOLONG else args.out
+        raise _Stop(1, f"error: cannot write {out}: {exc.strerror}\n") from None
     n = 1 << args.k
     payload = {"out": args.out, "width": n, "height": n}
     return payload, lambda: f"out={args.out} width={n} height={n}", 0
@@ -207,10 +207,6 @@ _COMMANDS = {
 }
 _CHOICES = "{" + ",".join(list(_COMMANDS)[1:]) + "}"
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's test for a negative number
-
-
-class _Stop(Exception):
-    """The parse ends early with ``(exit code, text)``: help (0), or a usage error (2)."""
 
 
 def _dest(option: str) -> str:
@@ -356,33 +352,28 @@ def main(argv: list[str] | None = None) -> int:
         try:
             try:
                 args = _parse(list(sys.argv[1:] if argv is None else argv))
-            except _Stop as stop:  # help to stdout, or to stderr with fd 1 closed; errors to stderr
-                code, text = stop.args
-                if code == 0 and sys.stdout is not None:
-                    sys.stdout.write(text)
-                else:
-                    _to_stderr(text)
+                payload, text, code = _COMMANDS[args.command][0](args)
+                print(_format(payload, text, args.json))
                 return code
-            payload, text, code = _COMMANDS[args.command][0](args)
-            print(_format(payload, text, args.json))
+            except _Stop as stop:
+                code, text = stop.args
+            except CapExceeded as exc:  # a library refusal: a cap, or a value out of range
+                code, text = 3, f"error: {exc}\n"
+            except ValueError as exc:
+                code, text = 2, f"error: {exc}\n"
+            if code == 0 and sys.stdout is not None:  # help, to stderr with fd 1 closed
+                sys.stdout.write(text)
+            else:
+                _to_stderr(text)
             return code
         finally:
             if sys.stdout is not None:  # None when the process started with fd 1 closed
                 sys.stdout.flush()
-    except _FileUnwritable as exc:
-        _error(str(exc))
-        return 1
     except OSError as exc:
         # a failed write to stdout; a reader that closed the pipe early gets no line
         if not isinstance(exc, BrokenPipeError):
-            _error(f"cannot write stdout: {exc}")
+            _to_stderr(f"error: cannot write stdout: {exc}\n")
         _to_devnull(sys.stdout)
         return 1
-    except CapExceeded as exc:
-        _error(str(exc))
-        return 3
-    except ValueError as exc:
-        _error(str(exc))
-        return 2
     finally:
         sys.set_int_max_str_digits(saved)

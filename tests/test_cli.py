@@ -200,12 +200,16 @@ def test_unwritable_stderr_keeps_the_exit_code(tmp_path, argv, code, out, stderr
 
 
 @pytest.mark.parametrize("argv", [("-h",), ("sum", "-h")], ids=["help", "command-help"])
-def test_help_with_fd_2_closed_goes_to_stdout(argv):
+@pytest.mark.parametrize("fd", [2, 1], ids=["fd-2", "fd-1"])
+def test_help_with_one_fd_closed_goes_to_the_other(argv, fd):
+    # help goes to stdout, and to stderr when the process started with fd 1
+    # closed and sys.stdout is None
     expected, _ = _child(*argv, stdout=subprocess.PIPE).communicate(timeout=60)
     assert expected.startswith("usage: nimtriples")
-    proc = _child(*argv, stdout=subprocess.PIPE, stderr=None, preexec_fn=lambda: os.close(2))
-    out, _ = proc.communicate(timeout=60)
-    assert (proc.returncode, out) == (0, expected)
+    stdout, stderr = (subprocess.PIPE, None) if fd == 2 else (None, subprocess.PIPE)
+    proc = _child(*argv, stdout=stdout, stderr=stderr, preexec_fn=lambda: os.close(fd))
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out if fd == 2 else err) == (0, expected)
 
 
 @pytest.mark.parametrize(

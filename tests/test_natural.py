@@ -82,7 +82,7 @@ class _Index:
 
 
 class _Int(int):
-    pass
+    """An int subclass, refused like any other non-int, whose repr is the int's."""
 
 
 def test_require_natural_rejects_non_integers():
@@ -98,10 +98,6 @@ def test_require_natural_rejects_non_integers():
 
 
 WIDE_NEGATIVE = -(1 << 16000)  # too long for the interpreter to print in decimal
-
-
-class _Int(int):
-    """An int subclass, refused like any other non-int, whose repr is the int's."""
 
 
 @pytest.mark.parametrize(

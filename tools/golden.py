@@ -230,6 +230,10 @@ _EDGES = [
     (["sum", "1", "2", "--"], None),
     (["sum", "1", "2", "3", "--"], None),
     (["render", "1", "0", "-hx"], None),
+    # an --out the system refuses as too long, one name past NAME_MAX and one path past
+    # PATH_MAX, is echoed cut, as a refused token is; the 250-character name above is whole
+    (["render", "1", "0", "--out", "x" * 3000], None),
+    (["render", "1", "0", "--out", "d/" * 2100], None),
 ]
 
 # The argv generator of the fuzz section, and of tests/test_cli_fuzz.py, which
