@@ -20,6 +20,7 @@ import errno
 import os
 import re
 import sys
+import time
 from collections.abc import Callable, Iterator
 from types import SimpleNamespace
 
@@ -154,12 +155,19 @@ def _write_replacing(path: str, chunks: list[bytes]) -> None:
 
     A write that fails part way removes the new file, so ``path`` is either
     left as it was or holds all of the chunks, never a truncated copy.  The
-    new file's name does not grow with ``path``'s, so any legal name works.
+    new file's name does not grow with ``path``'s, so any legal name works,
+    and it holds the pid and the time in ns, so no earlier process can have
+    left a file of that name.  Where ``path`` exists, the new file takes its
+    permission bits before the first chunk; a new ``path`` keeps the default.
     """
-    scratch = os.path.join(os.path.dirname(path), f".{os.getpid()}.tmp")
+    scratch = os.path.join(os.path.dirname(path), f".{os.getpid()}.{time.time_ns()}.tmp")
     handle = open(scratch, "xb")
     try:
         with handle:
+            try:
+                os.chmod(scratch, os.stat(path).st_mode & 0o777)
+            except FileNotFoundError:
+                pass
             handle.writelines(chunks)
         os.replace(scratch, path)
     except BaseException:

@@ -13,8 +13,6 @@ from functools import reduce
 from itertools import product
 from operator import xor
 
-import numpy as np
-
 from nimtriples import (
     advise_move,
     case_table_lookup,
@@ -78,11 +76,18 @@ def test_sum_vertex_forces_flat():
     )
 
 
-def test_case_table_agrees_with_direct_statuses():
-    side = 1 << 5
+# entries below 2**10, about the 64-bit word, and far past it
+_ENTRY_RANGES = ((0, (1 << 10) + 1), ((1 << 60) - 8, (1 << 66) + 1), (0, (1 << 300) + 1))
+
+
+def _random_entry(rng):
+    return rng.randrange(*rng.choice(_ENTRY_RANGES))
+
+
+def _case_table_check(triples):
     checked = 0
     violations = 0
-    for a, b, c in product(range(side), repeat=3):
+    for a, b, c in triples:
         result = classify_triangle(a, b, c)
         j = result.discriminant
         if j is None:
@@ -91,20 +96,30 @@ def test_case_table_agrees_with_direct_statuses():
         looked_up = case_table_lookup(bit(a, j), bit(b, j), bit(c, j))
         if looked_up is None or looked_up != result.statuses:
             violations += 1
+    return checked, violations
+
+
+def test_case_table_agrees_with_direct_statuses():
+    side = 1 << 5
+    rng = random.Random(31337)
+    wide = [tuple(_random_entry(rng) for _ in range(3)) for _ in range(10_000)]
+    small_checked, small_violations = _case_table_check(product(range(side), repeat=3))
+    wide_checked, wide_violations = _case_table_check(wide)
+    violations = small_violations + wide_violations
     report(
         "case table consistency",
         violations == 0,
-        f"{checked} non-flat triples, {violations} violations",
+        f"{small_checked} non-flat triples under {side} and {wide_checked} of "
+        f"{len(wide)} wide ones, {violations} violations",
     )
 
 
 def test_mex_route_reproduces_the_sum():
     side = 1 << 7
-    mismatches = sum(
-        mex_oracle(a, b) != (a ^ b)
-        for a in range(side)
-        for b in range(side)
-    )
+    rng = random.Random(4096)
+    far = [(rng.randrange(4097), rng.randrange(4097)) for _ in range(1000)]
+    pairs = [*product(range(side), repeat=2), *far]
+    mismatches = sum(mex_oracle(a, b) != (a ^ b) for a, b in pairs)
     missing = 0
     linkage_side = 1 << 6
     for a in range(linkage_side):
@@ -115,7 +130,7 @@ def test_mex_route_reproduces_the_sum():
     report(
         "mex equals xor",
         ok,
-        f"{side * side} mex pairs ({mismatches} mismatches), "
+        f"{side * side} pairs under {side} and {len(far)} under 4097 ({mismatches} mismatches), "
         f"linkage over {linkage_side * linkage_side} pairs ({missing} missing)",
     )
 
@@ -164,21 +179,6 @@ def test_advisor_is_sound_on_the_small_cube():
     )
 
 
-def _enumerated_counts(k):
-    # second route: per-triple comparisons, no shared code with census()
-    flat = tight = loose = 0
-    for a, b, c in product(range(1 << k), repeat=3):
-        aligned = (a == b ^ c) + (b == a ^ c) + (c == a ^ b)
-        large = (a > b ^ c) + (b > a ^ c) + (c > a ^ b)
-        if aligned == 3:
-            flat += 1
-        elif large == 3:
-            tight += 1
-        else:
-            loose += 1
-    return flat, tight, loose
-
-
 def test_census_counts_and_closed_forms():
     frozen = {1: (4, 1, 3), 2: (16, 12, 36)}
     problems = []
@@ -186,9 +186,6 @@ def test_census_counts_and_closed_forms():
         got = census(k).counts
         if got != expected:
             problems.append(f"k={k} frozen {got}!={expected}")
-        brute = _enumerated_counts(k)
-        if got != brute:
-            problems.append(f"k={k} enumerated {got}!={brute}")
     for k in range(1, 9):
         if not census_closed_form_check(k):
             problems.append(f"closed form k={k}")
@@ -200,7 +197,7 @@ def test_census_counts_and_closed_forms():
     report(
         "census counts",
         not problems,
-        "; ".join(problems) or f"frozen+enumerated k=1..2, closed form k=1..8, "
+        "; ".join(problems) or f"frozen k=1..2, closed form k=1..8, "
         f"census(6) {elapsed:.2f}s",
     )
 
@@ -220,25 +217,26 @@ def _random_wide(rng):
 
 def test_group_laws_exhaustively_and_at_width():
     n = 256
-    table = np.array(
-        [[nim_sum(a, b) for b in range(n)] for a in range(n)], dtype=np.int16
-    )
-    idx = np.arange(n)
-    a_col = idx[:, None]
-    b_row = idx[None, :]
+    values = [[nim_sum(a, b) for b in range(n)] for a in range(n)]
+    if max(map(max, values)) >= n:
+        report("group laws", False, "closure")
     problems = []
-    if not (table == table.T).all():
+    # row a as bytes: row_b.translate(row_a) maps each b ^ c to a ^ (b ^ c)
+    table = [bytes(row) for row in values]
+    if list(zip(*table)) != list(map(tuple, table)):
         problems.append("commutativity")
-    if not (table[0] == idx).all():
+    if table[0] != bytes(range(n)):
         problems.append("identity")
-    if not (np.diag(table) == 0).all():
+    if any(row[a] for a, row in enumerate(table)):
         problems.append("self-inverse")
-    if not ((np.abs(a_col - b_row) <= table) & (table <= a_col + b_row)).all():
+    if any(
+        not abs(a - b) <= value <= a + b
+        for a, row in enumerate(table)
+        for b, value in enumerate(row)
+    ):
         problems.append("bounds")
-    if table.max() >= n:
-        problems.append("closure")
-    for a in range(n):
-        if not (table[table[a]] == table[a][table]).all():
+    for a, row_a in enumerate(table):
+        if any(row_b.translate(row_a) != table[row_a[b]] for b, row_b in enumerate(table)):
             problems.append(f"associativity a={a}")
             break
     rng = random.Random(99991)

@@ -1,6 +1,5 @@
 from itertools import permutations, product
 
-import numpy as np
 import pytest
 
 from nimtriples import (
@@ -11,17 +10,17 @@ from nimtriples import (
     classify_triangle,
 )
 from nimtriples.limits import MAX_K_CEILING
-from nimtriples.triangles import TriangleClass
 
 
 def brute_counts(k):
-    # independent route: count by direct per-triple classification
+    # independent route: per-triple comparisons, no shared code with census() or the classifier
     flat = tight = loose = 0
     for a, b, c in product(range(1 << k), repeat=3):
-        kind = classify_triangle(a, b, c).kind
-        if kind is TriangleClass.FLAT:
+        aligned = (a == b ^ c) + (b == a ^ c) + (c == a ^ b)
+        large = (a > b ^ c) + (b > a ^ c) + (c > a ^ b)
+        if aligned == 3:
             flat += 1
-        elif kind is TriangleClass.TIGHT:
+        elif large == 3:
             tight += 1
         else:
             loose += 1
@@ -48,11 +47,6 @@ def test_census_matches_per_triple_classification(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_flat_count_is_fourth_power(k):
     assert census(k).flat == 4**k
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_closed_form(k):
-    assert census_closed_form_check(k)
 
 
 def test_census_is_permutation_blind():
@@ -135,7 +129,7 @@ class _Int(int):
     pass
 
 
-@pytest.mark.parametrize("k", [2.0, True, False, -1, "2", None, np.int64(2), _Index(), _Int(3)])
+@pytest.mark.parametrize("k", [2.0, True, False, -1, "2", None, _Index(), _Int(3)])
 def test_widths_must_be_naturals(k):
     for call in (census, census_closed_form_check):
         with pytest.raises(ValueError):

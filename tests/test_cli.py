@@ -10,6 +10,7 @@ import errno
 import json
 import os
 import shlex
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -245,6 +246,49 @@ def test_render_replaces_existing_file(capsys, tmp_path):
     assert code == 0
     assert target.read_bytes() == b"P5\n2 2\n255\n" + bytes([255, 85, 85, 255])
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_render_beside_a_stale_scratch_file_leaves_it_as_it_was(capsys, monkeypatch, tmp_path):
+    # an earlier process with this pid, killed mid-write, left its scratch file behind
+    monkeypatch.chdir(tmp_path)
+    stale = tmp_path / f".{os.getpid()}.tmp"
+    stale.write_bytes(b"half a render")
+    code, out, err = run(capsys, "render", "2", "5", "--out", "x.pgm")
+    assert (code, out, err) == (0, "out=x.pgm width=4 height=4\n", "")
+    assert (tmp_path / "x.pgm").read_bytes() == render_pgm(2, 5)
+    assert stale.read_bytes() == b"half a render"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [stale.name, "x.pgm"]
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o444, 0o751], ids=oct)
+def test_render_keeps_the_permission_bits_of_the_file_it_replaces(capsys, tmp_path, mode):
+    target = tmp_path / "x.pgm"
+    target.write_bytes(b"previous render")
+    target.chmod(mode)
+    assert run(capsys, "render", "2", "5", "--out", str(target))[0] == 0
+    assert target.read_bytes() == render_pgm(2, 5)
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+    # a new target gets the mode that a plain write gives
+    plain, new = tmp_path / "plain", tmp_path / "new.pgm"
+    plain.write_bytes(b"")
+    assert run(capsys, "render", "2", "5", "--out", str(new))[0] == 0
+    assert new.stat().st_mode == plain.stat().st_mode
+
+
+def test_render_over_a_symlink_replaces_the_link(capsys, tmp_path):
+    # the link becomes a regular file with the permission bits of the file it
+    # named, and that file is left as it was
+    old = tmp_path / "old.pgm"
+    old.write_bytes(b"previous render")
+    old.chmod(0o640)
+    link = tmp_path / "x.pgm"
+    link.symlink_to(old)
+    assert run(capsys, "render", "2", "5", "--out", str(link))[0] == 0
+    assert not link.is_symlink()
+    assert link.read_bytes() == render_pgm(2, 5)
+    assert stat.S_IMODE(link.stat().st_mode) == 0o640
+    assert old.read_bytes() == b"previous render"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["old.pgm", "x.pgm"]
 
 
 def test_failed_render_names_only_its_target(capsys, tmp_path):

@@ -1,14 +1,16 @@
-"""Every route to a triangle's class agrees: render pixel, classifier, advisor, case table."""
+"""Every route to a triangle's class agrees: render pixel, classifier and advisor.
+
+The case table's route is checked against the classifier's statuses in
+``tests/test_acceptance.py``, exhaustively under 32 and at these widths.
+"""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from nimtriples import (
-    CASE_TABLE,
     GRAY_LEVELS,
     TriangleClass,
     VertexStatus,
-    bit,
     classify_triangle,
     render_pgm,
     winning_moves,
@@ -34,14 +36,11 @@ def assert_routes_agree(a, b, c):
     ]
     if result.kind is TriangleClass.FLAT:
         assert result.discriminant is None and a ^ b ^ c == 0
-        return result
-    j = result.discriminant
-    assert CASE_TABLE[(bit(a, j), bit(b, j), bit(c, j))] == result.statuses
     return result
 
 
 @given(st.integers(min_value=0, max_value=MAX_K), any_c, st.data())
-def test_render_pixel_classifier_advisor_and_case_table_agree(k, c, data):
+def test_render_pixel_classifier_and_advisor_agree(k, c, data):
     n = 1 << k
     pgm = render_pgm(k, c, max_k=MAX_K)
     header = len(pgm) - n * n

@@ -1,4 +1,4 @@
-"""The byte-grid kernel against classify_triangle and the case table."""
+"""The byte-grid kernel against classify_triangle, the row lemma and its own block tables."""
 
 import hashlib
 import random
@@ -7,10 +7,8 @@ from itertools import product
 import pytest
 
 from nimtriples import (
-    CASE_TABLE,
     GRAY_LEVELS,
     TriangleClass,
-    VertexStatus,
     bit,
     classification_grid,
     classify_triangle,
@@ -19,25 +17,6 @@ from nimtriples import (
 from nimtriples import _kernel
 
 WIDE_C = (1 << 61, 1 << 62, 1 << 70)
-
-KIND = {0: TriangleClass.FLAT, 1: TriangleClass.TIGHT, 2: TriangleClass.LOOSE}
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_kernel_classify_and_case_table_agree_exhaustively(k):
-    n = 1 << k
-    for a in range(n):
-        cells = b"".join(_kernel.pieces(k, a, 0, 1, 2))
-        assert len(cells) == n * n
-        for b, c in product(range(n), repeat=2):
-            result = classify_triangle(a, b, c)
-            assert KIND[cells[b * n + c]] is result.kind
-            if result.kind is TriangleClass.FLAT:
-                continue
-            j = result.discriminant
-            row = CASE_TABLE[(bit(a, j), bit(b, j), bit(c, j))]
-            assert row == result.statuses
-            assert (row.count(VertexStatus.LARGE) == 3) == (cells[b * n + c] == 1)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
