@@ -48,11 +48,13 @@ def pieces(k: int, s: int, flat: int, tight: int, loose: int) -> list[bytes]:
     Cell (x, y) holds ``flat``, ``tight`` or ``loose`` for the class of the
     triangle.  Each run of ``m`` rows that share ``uh`` is ``before, row 0,
     after + before, row 1, ..., row m-1, after``.
+
+    All loose.  Where ``s >= 2**k`` the pieces are ``2**k`` equal rows of
+    loose cells, and render builds that grid as one fill: ``s`` has a digit
+    above every coordinate, so at ``j = msb(t) = msb(s)`` the digits are (1, 0, 0), not all 1.
     """
     n = 1 << k
     if s >= n:
-        # s has a digit above every coordinate, so msb(t) = msb(s) and the
-        # digits there are (1, 0, 0): the case table makes every cell loose.
         return [bytes([loose]) * n] * n
     lo, m = k // 2, 1 << k // 2
     flat, tight, loose = bytes([flat]), bytes([tight]), bytes([loose])

@@ -15,6 +15,7 @@ from nimtriples import (
     render_pgm,
 )
 from nimtriples import _kernel
+from nimtriples.render import _pgm_chunks
 
 WIDE_C = (1 << 61, 1 << 62, 1 << 70)
 
@@ -22,7 +23,7 @@ WIDE_C = (1 << 61, 1 << 62, 1 << 70)
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_grid_matches_classify_for_every_small_and_wide_c(k):
     n = 1 << k
-    for c in [*range(n + 1), *WIDE_C]:
+    for c in [*range(2 * n + 2), *WIDE_C]:
         grid = classification_grid(k, c)
         for a, b in product(range(n), repeat=2):
             assert grid[a, b] == GRAY_LEVELS[classify_triangle(a, b, c).kind], (k, c, a, b)
@@ -113,6 +114,18 @@ def test_block_table_entry_u_is_the_join_over_the_0_digits_of_u(bits, size):
 def test_pieces_equal_the_pieces_joined_per_row(k):
     for s in [*range(1 << k + 1), *WIDE_C]:
         assert _kernel.pieces(k, s, 0, 1, 2) == _pieces_joined_per_row(k, s, 0, 1, 2), (k, s)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_pgm_chunks_render_and_grid_assemble_the_same_cells(k):
+    # the CLI's pieces as written, render_pgm's fill or join, and the grid's fill or join
+    n = 1 << k
+    for c in [*range(2 * n + 2), *WIDE_C]:
+        data = render_pgm(k, c)
+        assert data == b"".join(_pgm_chunks(k, c)), (k, c)
+        grid = classification_grid(k, c)
+        assert grid.dtype == "uint8" and grid.shape == (n, n) and grid.flags.writeable, (k, c)
+        assert data[-(n * n) :] == grid.tobytes(), (k, c)
 
 
 @pytest.mark.parametrize(

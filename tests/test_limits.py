@@ -139,11 +139,20 @@ def test_mex_at_its_cap_stays_linear_in_memory(a, b):
     assert _traced_peak(mex_oracle, a, b) < 2.5 * MEX_ENUMERATION_CAP
 
 
-@pytest.mark.parametrize("c", [0, 5, (1 << DEFAULT_RENDER_MAX_K) - 1])
+@pytest.mark.parametrize(
+    "c", [0, 5, (1 << DEFAULT_RENDER_MAX_K) - 1, 1 << DEFAULT_RENDER_MAX_K, 1 << 70]
+)
 def test_render_at_its_default_cap_holds_little_beside_its_output(c):
-    # the 4**k-byte PGM, and pieces no longer than a row, about 2**(k + 1) of them
     k = DEFAULT_RENDER_MAX_K
-    assert _traced_peak(render_pgm, k, c) < 1.125 * 4**k
+    if c < 1 << k:
+        # the 4**k-byte PGM, and pieces no longer than a row, about 2**(k + 1) of them
+        assert _traced_peak(render_pgm, k, c) < 1.125 * 4**k
+    else:
+        # every cell loose: the output is one fill, with no rows and no second copy beside it
+        import numpy  # loaded before tracing starts, so its import is not traced
+
+        for call in (render_pgm, classification_grid):
+            assert _traced_peak(call, k, c) < 1.005 * 4**k, call.__name__
 
 
 _TABLE_RSS = """

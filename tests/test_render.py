@@ -32,29 +32,11 @@ def test_gray_levels_are_distinct():
     assert GRAY_LEVELS[TriangleClass.LOOSE] == 85
 
 
-@pytest.mark.parametrize("fixed_c", [0, 5, 9])
-def test_grid_matches_per_triple_classification(fixed_c):
-    k = 3
-    grid = classification_grid(k, fixed_c)
-    for a in range(1 << k):
-        for b in range(1 << k):
-            kind = classify_triangle(a, b, fixed_c).kind
-            assert grid[a, b] == GRAY_LEVELS[kind]
-
-
 def test_grid_huge_fixed_side_is_all_loose():
     grid = classification_grid(2, 1 << 70)
     assert (grid == 85).all()
     # spot-check the claim against the scalar classifier
     assert classify_triangle(3, 2, 1 << 70).kind is TriangleClass.LOOSE
-
-
-def test_grid_near_word_width_boundary():
-    grid = classification_grid(1, 1 << 61)
-    for a in range(2):
-        for b in range(2):
-            kind = classify_triangle(a, b, 1 << 61).kind
-            assert grid[a, b] == GRAY_LEVELS[kind]
 
 
 def test_render_pgm_golden():
