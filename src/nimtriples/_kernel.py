@@ -45,23 +45,16 @@ def _blocks(bits: int, s: int, size: int, tight: bytes, loose: bytes) -> list[by
 def pieces(k: int, s: int, flat: int, tight: int, loose: int) -> list[bytes]:
     """Byte strings whose concatenation is the grid of (s, x, y), x, y < 2**k, row by row.
 
-    Cell (x, y) holds ``flat``, ``tight`` or ``loose`` for the class of the
-    triangle.  Each run of ``m`` rows that share ``uh`` is ``before, row 0,
-    after + before, row 1, ..., row m-1, after``.
-
-    All loose.  Where ``s >= 2**k`` the pieces are ``2**k`` equal rows of
-    loose cells, and render builds that grid as one fill: ``s`` has a digit
-    above every coordinate, so at ``j = msb(t) = msb(s)`` the digits are (1, 0, 0), not all 1.
+    Requires ``s < 2**k``.  Cell (x, y) holds ``flat``, ``tight`` or
+    ``loose`` for the class of the triangle.  Each run of ``m`` rows that
+    share ``uh`` is ``before, row 0, after + before, row 1, ..., row m-1, after``.
     """
-    n = 1 << k
-    if s >= n:
-        return [bytes([loose]) * n] * n
     lo, m = k // 2, 1 << k // 2
     flat, tight, loose = bytes([flat]), bytes([tight]), bytes([loose])
     small, large = _blocks(lo, s, 1, tight, loose), _blocks(k - lo, s >> lo, m, tight, loose)
     rows = [loose * (u := s % m ^ x) + flat + small[u] for x in range(m)]
     grid = []
-    for u in (s >> lo ^ x for x in range(n >> lo)):
+    for u in (s >> lo ^ x for x in range(1 << k - lo)):
         before, after = loose * (u * m), large[u]
         run = [after + before] * (2 * m + 1)
         run[0], run[1::2], run[-1] = before, rows, after

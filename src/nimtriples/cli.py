@@ -19,6 +19,7 @@ changes no exit code.
 import errno
 import os
 import re
+import stat
 import sys
 import time
 from collections.abc import Callable, Iterator
@@ -159,15 +160,23 @@ def _write_replacing(path: str, chunks: list[bytes]) -> None:
     and it holds the pid and the time in ns, so no earlier process can have
     left a file of that name.  Where ``path`` exists, the new file takes its
     permission bits before the first chunk; a new ``path`` keeps the default.
+    Where ``path`` names, through any links, something other than a regular
+    file, such as a FIFO or a device, the chunks are written into it in place.
     """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as handle:
+            handle.writelines(chunks)
+        return
     scratch = os.path.join(os.path.dirname(path), f".{os.getpid()}.{time.time_ns()}.tmp")
     handle = open(scratch, "xb")
     try:
         with handle:
-            try:
-                os.chmod(scratch, os.stat(path).st_mode & 0o777)
-            except FileNotFoundError:
-                pass
+            if mode is not None:
+                os.chmod(scratch, mode & 0o777)
             handle.writelines(chunks)
         os.replace(scratch, path)
     except BaseException:

@@ -22,9 +22,8 @@ DEFAULT_RENDER_MAX_K = 12
 MAX_K_ENV = "NIM_TRIPLE_MAX_K"
 MAX_K_CEILING = 16
 
-# The exhaustive census check sweeps 8**k triples, 3 to 4 times longer per
-# bit, so tens of minutes at k=16; the README's cap ledger gives its time at
-# this cap, 8**k = 2**30.
+# The exhaustive census check sweeps 8**k triples; the README's cap ledger
+# gives its time at this cap, 8**k = 2**30.
 # It is the check's only cap: neither max_k nor NIM_TRIPLE_MAX_K applies.
 CENSUS_CHECK_MAX_K = 10
 

@@ -26,7 +26,17 @@ def _checked(k: int, fixed_c: int, max_k: int | None) -> tuple[int, int]:
 
 
 def _pieces(k: int, fixed_c: int) -> list[bytes]:
-    """The grid of (a, b, fixed_c) as ``_kernel.pieces``, for a checked k and fixed_c."""
+    """The grid of (a, b, fixed_c) as pieces, row by row, for a checked k and fixed_c.
+
+    All loose.  Where fixed_c >= 2**k the grid is 2**k equal rows of loose
+    cells: fixed_c has a digit above every coordinate, so at j = msb(t) =
+    msb(fixed_c) the digits of (a, b, fixed_c) are (0, 0, 1), not all 1.
+    classification_grid and render_pgm build that grid as one fill; every
+    other grid is ``_kernel.pieces``.
+    """
+    n = 1 << k
+    if fixed_c >= n:
+        return [_LOOSE * n] * n
     flat, tight, loose = (GRAY_LEVELS[kind] for kind in TriangleClass)  # the enum's order
     return _kernel.pieces(k, fixed_c, flat, tight, loose)
 
@@ -39,7 +49,7 @@ def classification_grid(k: int, fixed_c: int, *, max_k: int | None = None) -> "n
     """Gray value per pixel for all triangles (a, b, fixed_c) with a, b < 2**k.
 
     A writable (2**k, 2**k) uint8 array over one fill where fixed_c >= 2**k, since every
-    cell is loose there (see ``_kernel.pieces``), and over one join of the grid's
+    cell is loose there (see ``_pieces``), and over one join of the grid's
     pieces otherwise.  This is the one call that loads numpy; without it, ImportError
     names the ``grid`` extra.
     """

@@ -36,52 +36,68 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def test_nonflat_triangles_have_one_or_three_large_vertices():
-    side = 1 << 6
-    start = time.perf_counter()
-    violations = 0
-    nonflat = 0
-    for a, b, c in product(range(side), repeat=3):
-        result = classify_triangle(a, b, c)
-        if result.kind is TriangleClass.FLAT:
-            continue
-        nonflat += 1
-        large = sum(s is VertexStatus.LARGE for s in result.statuses)
-        if large not in (1, 3):
-            violations += 1
-    elapsed = time.perf_counter() - start
-    ok = violations == 0 and elapsed < 5.0
-    report(
-        "non-flat large count",
-        ok,
-        f"{nonflat} non-flat of {side ** 3} triples, "
-        f"{violations} violations, {elapsed:.2f}s",
-    )
-
-
-def test_sum_vertex_forces_flat():
-    side = 1 << 7
-    violations = 0
-    for a in range(side):
-        for b in range(side):
-            result = classify_triangle(a, b, a ^ b)
-            if result.kind is not TriangleClass.FLAT:
-                violations += 1
-            elif any(s is not VertexStatus.ALIGNED for s in result.statuses):
-                violations += 1
-    report(
-        "sum vertex forces flat",
-        violations == 0,
-        f"{side * side} pairs, {violations} violations",
-    )
-
-
 # entries below 2**10, about the 64-bit word, and far past it
 _ENTRY_RANGES = ((0, (1 << 10) + 1), ((1 << 60) - 8, (1 << 66) + 1), (0, (1 << 300) + 1))
 
 
 def _random_entry(rng):
     return rng.randrange(*rng.choice(_ENTRY_RANGES))
+
+
+def _of_width(rng, width):
+    """A natural of exactly ``width`` bits."""
+    return (1 << (width - 1)) | rng.getrandbits(width - 1)
+
+
+def _large_count_check(triples):
+    # flat: all three aligned; otherwise one or three large and none aligned
+    nonflat = 0
+    violations = 0
+    for triple in triples:
+        result = classify_triangle(*triple)
+        if result.kind is TriangleClass.FLAT:
+            violations += result.statuses != (VertexStatus.ALIGNED,) * 3
+            continue
+        nonflat += 1
+        large = result.statuses.count(VertexStatus.LARGE)
+        violations += large not in (1, 3) or VertexStatus.ALIGNED in result.statuses
+    return nonflat, violations
+
+
+def test_nonflat_triangles_have_one_or_three_large_vertices():
+    side = 1 << 6
+    rng = random.Random(1013)
+    wide = [tuple(_random_entry(rng) for _ in range(3)) for _ in range(10_000)]
+    start = time.perf_counter()
+    nonflat, small_violations = _large_count_check(product(range(side), repeat=3))
+    wide_nonflat, wide_violations = _large_count_check(wide)
+    elapsed = time.perf_counter() - start
+    violations = small_violations + wide_violations
+    report(
+        "non-flat large count",
+        violations == 0 and elapsed < 5.0,
+        f"{nonflat} non-flat of {side ** 3} triples under {side} and {wide_nonflat} of "
+        f"{len(wide)} wide ones, {violations} violations, {elapsed:.2f}s",
+    )
+
+
+def test_sum_vertex_forces_flat():
+    side = 1 << 7
+    rng = random.Random(160)
+    wide = [tuple(_of_width(rng, rng.randrange(64, 161)) for _ in range(2)) for _ in range(1000)]
+    violations = 0
+    for a, b in [*product(range(side), repeat=2), *wide]:
+        result = classify_triangle(a, b, a ^ b)
+        if result.kind is not TriangleClass.FLAT or result.discriminant is not None:
+            violations += 1
+        elif any(s is not VertexStatus.ALIGNED for s in result.statuses):
+            violations += 1
+    report(
+        "sum vertex forces flat",
+        violations == 0,
+        f"{side * side} pairs under {side} and {len(wide)} of 64 to 160 bits, "
+        f"{violations} violations",
+    )
 
 
 def _case_table_check(triples):
@@ -152,30 +168,43 @@ def test_greedy_table_is_the_xor_table():
     )
 
 
+def _random_position(rng):
+    """1 to 6 piles, each up to 2**80; in half of them the last is the Nim sum of the rest."""
+    piles = [rng.randrange((1 << rng.randrange(81)) + 1) for _ in range(rng.randrange(1, 7))]
+    if rng.random() < 0.5:
+        piles[-1] = reduce(xor, piles[:-1], 0)
+    return piles
+
+
+def _unsound(position, move):
+    """Whether ``move`` breaks the law: None exactly where the Nim sum is 0, else a reduction
+    of one pile that leaves Nim sum 0."""
+    if reduce(xor, position) == 0:
+        return move is not None
+    if move is None:
+        return True
+    successor = list(position)
+    successor[move.pile] = move.new_size
+    return move.new_size >= position[move.pile] or reduce(xor, successor) != 0
+
+
 def test_advisor_is_sound_on_the_small_cube():
     side = 1 << 5
+    rng = random.Random(80)
+    seeded = [_random_position(rng) for _ in range(10_000)]
     violations = 0
     for position in product(range(side), repeat=3):
-        total = reduce(xor, position)
         move = advise_move(list(position))
         moves = winning_moves(list(position))
-        if len(moves) not in (0, 1, 3):
+        if len(moves) not in (0, 1, 3) or moves[:1] != ([] if move is None else [move]):
             violations += 1
-        if total == 0:
-            if move is not None or moves:
-                violations += 1
-        else:
-            if move is None or moves[0] != tuple(move):
-                violations += 1
-                continue
-            successor = list(position)
-            successor[move.pile] = move.new_size
-            if move.new_size >= position[move.pile] or reduce(xor, successor) != 0:
-                violations += 1
+        violations += _unsound(position, move)
+    violations += sum(_unsound(position, advise_move(position)) for position in seeded)
     report(
         "advisor soundness",
         violations == 0,
-        f"{side ** 3} positions, {violations} violations",
+        f"{side ** 3} positions under {side} and {len(seeded)} of 1 to 6 piles, "
+        f"{violations} violations",
     )
 
 
@@ -201,9 +230,32 @@ def _xor_by_digits(a, b):
     return out
 
 
-def _random_wide(rng):
-    width = rng.randrange(65, 193)
-    return (1 << (width - 1)) | rng.getrandbits(width - 1)
+# the ends of the 64-bit word and of two of them, where a fixed-width sum would wrap
+_WORD_EDGES = (0, *((1 << w) + d for w in (63, 64, 128) for d in (-1, 0, 1)))
+
+
+def _wide_triples(rng, per_width):
+    """For each width w from 1 to 300 bits, ``per_width`` triples whose first entry has w bits
+    and whose second is below 2**w; then every triple of word edges."""
+    for width in range(1, 301):
+        for _ in range(per_width):
+            a, b = _of_width(rng, width), rng.getrandbits(width)
+            yield a, b, _of_width(rng, rng.randrange(1, 301))
+    yield from product(_WORD_EDGES, repeat=3)
+
+
+def _broken_law(a, b, c):
+    """The first law of Nim addition that a, b and c break, or None."""
+    s = nim_sum(a, b)
+    held = {
+        "commutativity": s == nim_sum(b, a),
+        "associativity": nim_sum(s, c) == nim_sum(a, nim_sum(b, c)),
+        "identity/inverse": nim_sum(a, 0) == a == nim_sum(0, a) and nim_sum(a, a) == 0,
+        "cancellation": nim_sum(s, b) == a and nim_sum(s, a) == b,
+        "bounds": abs(a - b) <= s <= a + b,
+        "closure": s < 1 << max(a.bit_length(), b.bit_length()),
+    }
+    return next((law for law, ok in held.items() if not ok), None)
 
 
 def test_group_laws_exhaustively_and_at_width():
@@ -230,30 +282,22 @@ def test_group_laws_exhaustively_and_at_width():
         if any(row_b.translate(row_a) != table[row_a[b]] for b, row_b in enumerate(table)):
             problems.append(f"associativity a={a}")
             break
-    rng = random.Random(99991)
-    wide_cases = 10_000
-    for i in range(wide_cases):
-        wa, wb, wc = (_random_wide(rng) for _ in range(3))
-        if nim_sum(wa, wb) != nim_sum(wb, wa):
-            problems.append(f"wide commutativity #{i}")
+    wide = list(_wide_triples(random.Random(99991), 80))
+    for i, triple in enumerate(wide):
+        law = _broken_law(*triple)
+        if law is not None:
+            problems.append(f"wide {law} #{i}")
             break
-        if nim_sum(nim_sum(wa, wb), wc) != nim_sum(wa, nim_sum(wb, wc)):
-            problems.append(f"wide associativity #{i}")
-            break
-        if nim_sum(wa, 0) != wa or nim_sum(wa, wa) != 0:
-            problems.append(f"wide identity/inverse #{i}")
-            break
-        if abs(wa - wb) > nim_sum(wa, wb) or nim_sum(wa, wb) > wa + wb:
-            problems.append(f"wide bounds #{i}")
-            break
-        if i < 500 and nim_sum(wa, wb) != _xor_by_digits(wa, wb):
-            problems.append(f"wide digitwise #{i}")
-            break
+    # the digit-by-digit rule is slow, so it checks every 20th case and every pair of word edges
+    digitwise = [*(triple[:2] for triple in wide[::20]), *product(_WORD_EDGES, repeat=2)]
+    if any(nim_sum(a, b) != _xor_by_digits(a, b) for a, b in digitwise):
+        problems.append("wide digitwise")
     report(
         "group laws",
         not problems,
         "; ".join(problems)
-        or f"exhaustive under {n}, {wide_cases} wide cases over 64 bits",
+        or f"exhaustive under {n}, {len(wide)} wide cases of 1 to 300 bits "
+        f"({len(digitwise)} digit by digit)",
     )
 
 

@@ -3,12 +3,8 @@ from itertools import product
 from operator import xor
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from nimtriples import Move, advise_move, winning_moves
-
-piles = st.lists(st.integers(min_value=0, max_value=1 << 80), min_size=1, max_size=6)
 
 
 def test_advise_examples():
@@ -29,20 +25,6 @@ def test_advise_picks_leftmost_pile():
     # every pile admits a winning reduction; the first must be chosen
     assert advise_move([3, 3, 1, 1, 1]) == Move(pile=0, new_size=2)
     assert advise_move([1, 1, 1]) == Move(pile=0, new_size=0)
-
-
-@given(piles)
-def test_advise_is_sound(position):
-    total = reduce(xor, position)
-    move = advise_move(position)
-    if total == 0:
-        assert move is None
-    else:
-        assert move is not None
-        assert move.new_size < position[move.pile]
-        successor = list(position)
-        successor[move.pile] = move.new_size
-        assert reduce(xor, successor) == 0
 
 
 def test_winning_moves_examples():

@@ -291,14 +291,30 @@ def test_render_over_a_symlink_replaces_the_link(capsys, tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["old.pgm", "x.pgm"]
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_render_into_a_fifo_writes_into_it_in_place(capsys, tmp_path):
+    # the read end is open, so opening the write end does not block, and the
+    # 2x2 PGM fits in the pipe's buffer; replaced by a file, the FIFO reads as empty
+    fifo = tmp_path / "x.pgm"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(capsys, "render", "1", "0", "--out", str(fifo))[0] == 0
+        assert os.read(reader, 1 << 16) == render_pgm(1, 0)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
 def test_failed_render_names_only_its_target(capsys, tmp_path):
     # the temporary file's name holds the pid, so the error line leaves it out
     missing = str(tmp_path / "missing" / "x.pgm")
     first = run(capsys, "render", "2", "5", "--out", missing)
     assert first == (1, "", f"error: cannot write {missing}: {os.strerror(errno.ENOENT)}\n")
     assert run(capsys, "render", "2", "5", "--out", missing) == first
-    # a directory as the target: the temporary file is written beside it,
-    # the rename fails, and the temporary file is removed
+    # a directory as the target is not a regular file, so it is opened in
+    # place, which fails, and no temporary file is made
     target = tmp_path / "dir"
     target.mkdir()
     code, out, err = run(capsys, "render", "2", "5", "--out", str(target))

@@ -18,21 +18,80 @@ from nimtriples import (
 from nimtriples.cli import main
 from nimtriples.limits import CENSUS_CHECK_MAX_K, DEFAULT_RENDER_MAX_K, TABLE_MAX_N
 
-WIDTH_CHECKED = [census, classification_grid, render_pgm]
+# each width-checked call: the name its cap messages give it, its least width and its default cap
+WIDTH_CHECKED = {
+    census: ("census", 1, 7),
+    classification_grid: ("render", 0, 12),
+    render_pgm: ("render", 0, 12),
+}
+
+
+def _call(call, k, **max_k):
+    """``call`` at bit width ``k``, with c = 0 for a grid or a PGM, and a grid as its bytes."""
+    if call in (classification_grid, render_pgm):
+        return bytes(call(k, 0, **max_k))
+    return call(k, **max_k)
 
 
 def _no_kernel(*args):
     raise AssertionError("the kernel ran before the cap was checked")
 
 
-def _refused(monkeypatch, call, **max_k) -> str:
-    """The ValueError message of a width-checked ``call`` at k=1, with the kernel blocked."""
+def _refused(monkeypatch, call, k, error=ValueError, **max_k) -> str:
+    """The message of the ``error`` that ``call`` raises at width ``k``, with the kernel blocked."""
     monkeypatch.setattr(_kernel, "pieces", _no_kernel)
     monkeypatch.setattr(_kernel, "count", _no_kernel)
-    args = (1,) if call is census else (1, 0)
-    with pytest.raises(ValueError) as exc:
-        call(*args, **max_k)
+    with pytest.raises(error) as exc:
+        _call(call, k, **max_k)
     return str(exc.value)
+
+
+class _Index:
+    def __index__(self):
+        return 2
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("k", [2.0, True, False, -1, "2", None, _Index(), _Int(3)])
+@pytest.mark.parametrize("call", WIDTH_CHECKED)
+def test_widths_must_be_naturals(monkeypatch, call, k):
+    _refused(monkeypatch, call, k)
+    if call is census:
+        _refused(monkeypatch, census_closed_form_check, k)
+
+
+@pytest.mark.parametrize("call", WIDTH_CHECKED)
+def test_least_width_is_accepted_and_the_one_below_refused(monkeypatch, call):
+    least = WIDTH_CHECKED[call][1]
+    _call(call, least)
+    if least:  # a width below 0 is not a natural: test_widths_must_be_naturals refuses -1
+        for check in (census, census_closed_form_check):
+            assert _refused(monkeypatch, check, 0) == "bit width must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("call", WIDTH_CHECKED)
+def test_default_cap_refuses_the_width_past_it(monkeypatch, call):
+    name, _, cap = WIDTH_CHECKED[call]
+    message = _refused(monkeypatch, call, cap + 1, CapExceeded)
+    assert message == f"{name} k={cap + 1} exceeds cap {cap}"
+
+
+@pytest.mark.parametrize("call", WIDTH_CHECKED)
+def test_max_k_refuses_the_width_past_it(monkeypatch, call):
+    assert _call(call, 2, max_k=2) == _call(call, 2, max_k=16)
+    message = _refused(monkeypatch, call, 3, CapExceeded, max_k=2)
+    assert message == f"{WIDTH_CHECKED[call][0]} k=3 exceeds cap 2"
+
+
+@pytest.mark.parametrize("call", WIDTH_CHECKED)
+def test_environment_cap_refuses_the_width_past_it(monkeypatch, call):
+    monkeypatch.setenv("NIM_TRIPLE_MAX_K", "1")
+    assert _call(call, 1) == _call(call, 1, max_k=16)
+    message = _refused(monkeypatch, call, 2, CapExceeded)
+    assert message == f"{WIDTH_CHECKED[call][0]} k=2 exceeds cap 1"
 
 
 WIDE = (1 << 16000) - 1  # 16000 bits: too long for the interpreter to print in decimal
@@ -44,7 +103,7 @@ LONG_RAW = "9" * 5000
 )
 @pytest.mark.parametrize("call", WIDTH_CHECKED)
 def test_max_k_outside_the_ceiling_is_refused_before_any_work(monkeypatch, call, max_k):
-    message = _refused(monkeypatch, call, max_k=max_k)
+    message = _refused(monkeypatch, call, 1, max_k=max_k)
     got = "<16000-bit number>" if max_k is WIDE else repr(max_k)
     assert message == f"max_k must be an integer in 0..16, got {got}"
 
@@ -74,7 +133,7 @@ def test_max_k_wins_over_the_environment(monkeypatch):
 @pytest.mark.parametrize("call", WIDTH_CHECKED)
 def test_environment_cap_keeps_its_message(monkeypatch, call, raw):
     monkeypatch.setenv("NIM_TRIPLE_MAX_K", raw)
-    message = _refused(monkeypatch, call)
+    message = _refused(monkeypatch, call, 1)
     got = "'99999999999999999999'...(5000 chars)" if raw is LONG_RAW else repr(raw)
     assert message == f"NIM_TRIPLE_MAX_K must be an integer in 0..16, got {got}"
 

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations, product
 
 import pytest
@@ -12,7 +13,6 @@ from nimtriples import (
     case_table_lookup,
     classify_triangle,
     classify_vertex,
-    nim_sum,
     reorder_dominant,
 )
 
@@ -21,6 +21,13 @@ L, A, S = VertexStatus.LARGE, VertexStatus.ALIGNED, VertexStatus.SMALL
 naturals = st.integers(min_value=0)
 wide = st.integers(min_value=1 << 64, max_value=(1 << 160) - 1)
 triples = st.tuples(naturals, naturals, naturals)
+
+
+def _triples(side):
+    """Every triple of entries below ``side``, then 1000 seeded ones of up to 300 bits an entry."""
+    rng = random.Random(side)
+    seeded = [tuple(rng.getrandbits(rng.randrange(301)) for _ in range(3)) for _ in range(1000)]
+    return [*product(range(side), repeat=3), *seeded]
 
 
 def test_classify_vertex_examples():
@@ -129,26 +136,6 @@ def test_case_table_rejects_non_digits():
             case_table_lookup(*digits)
 
 
-@given(wide, wide)
-def test_aligned_vertex_forces_flat(a, b):
-    c = nim_sum(a, b)
-    result = classify_triangle(a, b, c)
-    assert result.kind is TriangleClass.FLAT
-    assert result.statuses == (A, A, A)
-    assert result.discriminant is None
-
-
-@given(triples)
-def test_large_count_is_zero_one_or_three(t):
-    result = classify_triangle(*t)
-    large = result.statuses.count(L)
-    if result.kind is TriangleClass.FLAT:
-        assert large == 0 and result.statuses == (A, A, A)
-    else:
-        assert large in (1, 3)
-        assert A not in result.statuses
-
-
 def test_reorder_moves_dominant_to_front():
     assert reorder_dominant(1, 2, 7) == ((7, 1, 2), (2, 0, 1))
 
@@ -161,29 +148,19 @@ def test_reorder_prefers_leftmost_qualifier():
     assert reorder_dominant(2, 2, 3) == ((2, 2, 3), (0, 1, 2))
 
 
-def test_reorder_exhaustive_small():
-    for t in product(range(16), repeat=3):
+def test_reorder_postcondition():
+    for t in _triples(16):
         (x, y, z), perm = reorder_dominant(*t)
-        assert x >= y ^ z
-        assert sorted((x, y, z)) == sorted(t)
-        assert tuple(t[p] for p in perm) == (x, y, z)
+        assert x >= y ^ z, t
+        assert sorted(perm) == [0, 1, 2], t
+        assert tuple(t[p] for p in perm) == (x, y, z), t
 
 
-@given(triples)
-def test_reorder_postcondition(t):
-    (x, y, z), perm = reorder_dominant(*t)
-    assert x >= nim_sum(y, z)
-    assert sorted((x, y, z)) == sorted(t)
-    assert sorted(perm) == [0, 1, 2]
-    assert tuple(t[p] for p in perm) == (x, y, z)
-
-
-@given(triples)
-def test_classification_is_permutation_equivariant(t):
-    base = classify_triangle(*t)
-    for perm in permutations(range(3)):
-        shuffled = tuple(t[i] for i in perm)
-        result = classify_triangle(*shuffled)
-        assert result.kind is base.kind
-        assert result.statuses == tuple(base.statuses[i] for i in perm)
-        assert result.discriminant == base.discriminant
+def test_classification_is_permutation_equivariant():
+    for t in _triples(4):
+        base = classify_triangle(*t)
+        for perm in permutations(range(3)):
+            result = classify_triangle(*(t[i] for i in perm))
+            assert result.kind is base.kind, (t, perm)
+            assert result.statuses == tuple(base.statuses[i] for i in perm), (t, perm)
+            assert result.discriminant == base.discriminant, (t, perm)
