@@ -25,13 +25,12 @@ def _default_caps(monkeypatch):
     monkeypatch.delenv("NIM_TRIPLE_MAX_K", raising=False)
 
 
-def child_env(*path, **changes):
+def child_env(**changes):
     """This process's environment for a child interpreter that imports the package from src.
 
-    src comes first on ``PYTHONPATH`` and each directory in ``path`` last, and
-    no bytecode is written; each keyword sets a variable, or removes it when
-    its value is None.
+    src comes first on ``PYTHONPATH``, and no bytecode is written; each
+    keyword sets a variable, or removes it when its value is None.
     """
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", **changes}
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", ""), *path])
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     return {name: value for name, value in env.items() if value is not None}

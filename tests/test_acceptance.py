@@ -27,7 +27,6 @@ from nimtriples import (
     verify_table_equals_xor,
     winning_moves,
 )
-from nimtriples.cli import main as cli_main
 from nimtriples.triangles import TriangleClass, VertexStatus
 
 
@@ -299,24 +298,3 @@ def test_group_laws_exhaustively_and_at_width():
         or f"exhaustive under {n}, {len(wide)} wide cases of 1 to 300 bits "
         f"({len(digitwise)} digit by digit)",
     )
-
-
-def test_cli_render_golden_bytes(tmp_path, capsys):
-    golden = b"P5\n2 2\n255\n" + bytes([255, 85, 85, 255])
-    first = tmp_path / "first.pgm"
-    second = tmp_path / "second.pgm"
-    codes = [
-        cli_main(["render", "1", "0", "--out", str(first)]),
-        cli_main(["render", "1", "0", "--out", str(second)]),
-    ]
-    capsys.readouterr()
-    data_first = first.read_bytes()
-    data_second = second.read_bytes()
-    ok = codes == [0, 0] and data_first == golden and data_first == data_second
-    with capsys.disabled():
-        report(
-            "render golden",
-            ok,
-            f"exit={codes} bytes={'match' if data_first == golden else repr(data_first)} "
-            f"repeat={'identical' if data_first == data_second else 'differs'}",
-        )

@@ -13,6 +13,7 @@ import shlex
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -249,15 +250,16 @@ def test_render_replaces_existing_file(capsys, tmp_path):
 
 
 def test_render_beside_a_stale_scratch_file_leaves_it_as_it_was(capsys, monkeypatch, tmp_path):
-    # an earlier process with this pid, killed mid-write, left its scratch file behind
+    # an earlier process with this pid, killed mid-write in this very ns, left its
+    # scratch file behind: the write refuses to open it, and makes no x.pgm
     monkeypatch.chdir(tmp_path)
-    stale = tmp_path / f".{os.getpid()}.tmp"
+    monkeypatch.setattr(time, "time_ns", lambda: 7)
+    stale = tmp_path / f".{os.getpid()}.7.tmp"
     stale.write_bytes(b"half a render")
     code, out, err = run(capsys, "render", "2", "5", "--out", "x.pgm")
-    assert (code, out, err) == (0, "out=x.pgm width=4 height=4\n", "")
-    assert (tmp_path / "x.pgm").read_bytes() == render_pgm(2, 5)
+    assert (code, out, err) == (1, "", f"error: cannot write x.pgm: {os.strerror(errno.EEXIST)}\n")
     assert stale.read_bytes() == b"half a render"
-    assert sorted(path.name for path in tmp_path.iterdir()) == [stale.name, "x.pgm"]
+    assert list(tmp_path.iterdir()) == [stale]
 
 
 @pytest.mark.parametrize("mode", [0o600, 0o444, 0o751], ids=oct)

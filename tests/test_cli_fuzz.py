@@ -8,25 +8,22 @@ golden battery's fuzz section, here driven by a random that Hypothesis
 controls and shrinks: the eight command names, the real flags, the removed
 ``--timing``, numbers in every accepted spelling (negative, past 64 bits and
 past the CLI's decimal digit limit too) and junk, as loose tokens or shaped
-like a real call.  Widths are capped at 4 and small operands stay at 64 or
-below, so each argv runs in about a millisecond; the wide operands only ever
-reach a cap or the output limit.  Lists of arbitrary text, past the few
-characters of ``_draw``'s junk, are a test of their own: as a second branch
-of one strategy they took about three quarters of the examples.
+like a real call.  Each argv runs through ``record`` of ``tools/golden.py``,
+as a battery entry does, with ``NIM_TRIPLE_MAX_K`` at 4, so widths are capped
+at 4; small operands stay at 64 or below, so each argv runs in about a
+millisecond, and the wide operands only ever reach a cap or the output
+limit.  Lists of arbitrary text, past the few characters of ``_draw``'s
+junk, are a test of their own: as a second branch of one strategy they took
+about three quarters of the examples.
 """
 
-import contextlib
-import io
-import os
 import sys
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import golden
-from nimtriples.cli import main
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -42,27 +39,21 @@ def _unlimited_int_strings():
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    # abbreviated options such as "--o" may name a file: keep every write here
-    return tmp_path_factory.mktemp("fuzz")
+    # abbreviated options such as "--o" may name a file: record runs each argv here
+    return str(tmp_path_factory.mktemp("fuzz"))
 
 
 def _exits_0_to_3(workdir, argv):
-    here = os.getcwd()
-    out, err = io.StringIO(), io.StringIO()
-    os.chdir(workdir)
-    try:
-        with mock.patch.dict(os.environ, {"NIM_TRIPLE_MAX_K": "4"}):
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-    finally:
-        os.chdir(here)
-    assert code in {0, 1, 2, 3}, (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    entry = golden.record(argv, "4", workdir)
+    code, out, err = entry["exit"], entry.get("stdout"), entry["stderr"]
+    assert code in {0, 1, 2, 3}, (argv, code, err)
+    assert "Traceback" not in err
     if code in {2, 3}:
-        assert out.getvalue() == "" and err.getvalue(), (argv, code)
+        # a stdout past golden.LONG characters is recorded by its length, not as "stdout"
+        assert out == "" and err, (argv, code)
     if code == 3:
-        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
-        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+        assert err.count("\n") == 1, (argv, err)
+        assert err.startswith("error: "), (argv, err)
 
 
 @settings(max_examples=150, deadline=None)

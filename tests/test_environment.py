@@ -1,42 +1,17 @@
-"""The command line's bytes depend on argv and NIM_TRIPLE_MAX_K alone.
+"""The command line's bytes do not depend on the locale.
 
-The whole golden battery of ``tools/golden.py`` runs twice, under a narrow
-``COLUMNS`` with an interpreter decimal limit of 640 and under a wide one with
-no limit, and each argv must give the exit code, stdout, stderr and files
-recorded in ``tests/golden_cli.json``; ``tests/test_golden_cli.py`` runs it
-with neither set.  Its environment argvs also run in a pair of child
+The environment argvs of ``tools/golden.py`` run in a pair of child
 processes, the second under ``LC_ALL=C`` without UTF-8 mode, and both must
-write the same bytes, all of them ASCII.
+write the same bytes, all of them ASCII.  ``tests/test_golden_cli.py``
+checks that the terminal width and the interpreter's decimal limit change
+no byte either.
 """
 
 import json
 import subprocess
 import sys
 
-import pytest
-
 from conftest import child_env, golden
-
-
-@pytest.mark.parametrize(
-    "columns,digits",
-    [("30", 640), ("200", 0)],
-    ids=["COLUMNS=30-digits=640", "COLUMNS=200-digits=unlimited"],
-)
-def test_output_ignores_the_terminal_width_and_the_decimal_limit(
-    monkeypatch, tmp_path, columns, digits
-):
-    expected = json.loads(golden.GOLDEN.read_text(encoding="ascii"))
-    monkeypatch.setenv("COLUMNS", columns)
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(digits)
-    try:
-        runs = [golden.record(argv, max_k, str(tmp_path)) for argv, max_k in golden.battery()]
-        assert sys.get_int_max_str_digits() == digits
-    finally:
-        sys.set_int_max_str_digits(saved)
-    assert len(runs) == len(expected)
-    assert [i for i, (run, entry) in enumerate(zip(runs, expected)) if run != entry] == []
 
 
 _CHILD = """

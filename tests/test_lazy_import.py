@@ -2,49 +2,44 @@
 
 Without numpy, which the ``grid`` extra installs, everything else still runs.
 
-The kernel builds grids in plain bytes, so no command loads numpy.  The
-package resolves every public name on first use, so its import loads no
-submodule, a command loads only the submodules it runs, and ``json`` only
-under ``--json``.  No module imports ``typing`` or ``__future__``.  One child
-per command, on a bare interpreter that can still import numpy, checks both
-what the command adds and that nothing in the process loads ``typing``,
-``__future__``, ``dataclasses``, ``contextlib``, numpy, ``argparse``,
+The kernel builds grids in plain bytes, so no command loads numpy: the one
+import of numpy anywhere in the package, function bodies included, is in
+classification_grid, and a child with numpy blocked runs every other public
+function and all eight commands.  The package resolves every public name on
+first use, so its import loads no submodule, a command loads only the
+submodules it runs, and ``json`` only under ``--json``.  No module imports
+``typing`` or ``__future__``.  One child per command, on a bare interpreter,
+checks both what the command adds and that nothing in the process loads
+``typing``, ``__future__``, ``dataclasses``, ``contextlib``, ``argparse``,
 ``gettext``, ``locale`` or ``textwrap``: the command line reads its argv
 itself.
 
-Each check runs in a fresh interpreter, because the test process has loaded
-numpy long before.  Nothing here asserts a timing.  The bytes each command
-writes without numpy are the golden battery's, which CI replays with numpy
-uninstalled.
+Each check runs in a fresh interpreter, because the test process may have
+loaded any of these long before.  Nothing here asserts a timing.  The bytes
+each command writes without numpy are the golden battery's, which CI
+replays with numpy uninstalled.
 """
 
 import ast
 import json
 import subprocess
 import sys
-from pathlib import Path
 
-import numpy
 import pytest
 
 from conftest import SRC, child_env
 from nimtriples.cli import main
 
 PACKAGE = SRC / "nimtriples"
-# The directory numpy is installed in, which -S leaves off the path.
-NUMPY_HOME = str(Path(numpy.__file__).parents[1])
 
 
-def fresh(code, *args, cwd=None, read=json.loads, flags=(), path=()):
-    """``read`` of what ``code`` printed, run in a new interpreter that imports from src.
-
-    Each directory in ``path`` goes on the child's path after src.
-    """
+def fresh(code, *args, cwd=None, read=json.loads, flags=()):
+    """``read`` of what ``code`` printed, run in a new interpreter that imports from src."""
     proc = subprocess.run(
         [sys.executable, *flags, "-c", code, *args],
         capture_output=True,
         text=True,
-        env=child_env(*path),
+        env=child_env(),
         cwd=cwd,
         timeout=60,
     )
@@ -135,13 +130,11 @@ _OPTIONAL = {"json"} | {
     f"nimtriples.{name}" for name in ("triangles", "advisor", "mex", "render", "_kernel", "_census")
 }
 
-# The child runs under -S, since site's hooks may load typing first, with
-# numpy's directory on its path, so a command that tried numpy would load it;
-# it imports re and sys first, as the console script's wrapper does.  It
-# prints what the import and the command added, what they gave, which watched
-# modules are loaded at the end, and then whether it can find numpy.  It
-# prints with repr, not json, and swaps sys.stdout itself, not with
-# contextlib, because it watches both.
+# The child runs under -S, since site's hooks may load typing first, and
+# imports re and sys first, as the console script's wrapper does.  It prints
+# what the import and the command added, what they gave, and which watched
+# modules are loaded at the end.  It prints with repr, not json, and swaps
+# sys.stdout itself, not with contextlib, because it watches both.
 _MODULES_CHILD = """
 import io, re, sys
 before = set(sys.modules)
@@ -149,11 +142,10 @@ from nimtriples.cli import main
 sys.stdout = io.StringIO()
 code = main(sys.argv[1:])
 out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
-watched = {"typing", "__future__", "dataclasses", "contextlib", "numpy"}
+watched = {"typing", "__future__", "dataclasses", "contextlib"}
 watched |= {"argparse", "gettext", "locale", "textwrap"}
 added, loaded = sorted(set(sys.modules) - before), sorted(watched & set(sys.modules))
-import importlib.util
-print(repr([added, code, out, loaded, importlib.util.find_spec("numpy") is not None]))
+print(repr([added, code, out, loaded]))
 """
 
 
@@ -182,14 +174,14 @@ print(repr([added, code, out, loaded, importlib.util.find_spec("numpy") is not N
 )
 def test_command_loads_only_its_own_modules(tmp_path, capsys, monkeypatch, argv, loads, as_json):
     argv = ["--json", *argv] if as_json else argv
-    added, code, out, watched, finds_numpy = fresh(
-        _MODULES_CHILD, *argv, cwd=tmp_path, read=ast.literal_eval, flags=["-S"], path=[NUMPY_HOME]
+    added, code, out, watched = fresh(
+        _MODULES_CHILD, *argv, cwd=tmp_path, read=ast.literal_eval, flags=["-S"]
     )
     # json loads only to format a result, and a capped run (exit 3) formats none
     formats = {"json"} if as_json and code == 0 else set()
     expected = {f"nimtriples.{name}" for name in loads} | formats
     assert set(added) & _OPTIONAL == expected
-    assert finds_numpy and watched == []
+    assert watched == []
     # the same bytes as a run in this process, where every module is loaded
     monkeypatch.chdir(tmp_path)
     assert (code, out) == (main(argv), capsys.readouterr().out)
@@ -293,19 +285,6 @@ print(repr(sorted(set(sys.modules) - before)))
     assert fresh(code, read=ast.literal_eval) == ["nimtriples"]
 
 
-def _runs_at_import(body):
-    """Statements of a module body that run when it is imported.
-
-    Function and class bodies run later.
-    """
-    for node in body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        yield node
-        for field in ("body", "orelse", "finalbody", "handlers"):
-            yield from _runs_at_import(getattr(node, field, []))
-
-
 def _loads_numpy(node):
     if isinstance(node, ast.Import):
         return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
@@ -334,10 +313,23 @@ def test_no_module_imports_typing_or_future():
     assert found == []
 
 
-def test_no_module_imports_numpy_at_module_level():
+def _numpy_importers(node, where):
+    """``where``, dotted with the name of each function or class around it, of each
+    import of numpy under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _numpy_importers(child, f"{where}.{child.name}")
+        elif _loads_numpy(child):
+            yield where
+        else:
+            yield from _numpy_importers(child, where)
+
+
+def test_only_classification_grid_imports_numpy():
+    # at module level or in any function, on every path of every command
     importers = sorted(
-        path.name
+        importer
         for path in PACKAGE.glob("*.py")
-        if any(_loads_numpy(node) for node in _runs_at_import(ast.parse(path.read_text()).body))
+        for importer in _numpy_importers(ast.parse(path.read_text()), path.stem)
     )
-    assert importers == []
+    assert importers == ["render.classification_grid"]

@@ -16,19 +16,20 @@ and ``_wide_corner``, through this checkout's ``main`` and through the one in
 the checkout at TREE, each in a child process of its own since both packages
 are named ``nimtriples``, and prints every argv whose entry differs.
 
-``tests/test_golden_cli.py`` makes the same comparison entry by entry, and
-it is the one test of what an argv writes: a new argv to check becomes an
-entry of ``_EDGES``, the last section, so every earlier entry keeps its
-index.  ``tests/test_cli.py`` keeps only what a run in process cannot show.
-The fuzz section's argvs come from ``_draw``, which ``tests/test_cli_fuzz.py``
-also runs, with a random that Hypothesis controls in place of a seeded one.
-CI runs the comparison once more after uninstalling numpy, so every argv
-is also checked without it.  A change that alters the bytes on purpose
-regenerates the file, and the diff of the file is the record of what
-changed.  Standard library only.
+``tests/test_golden_cli.py`` makes the same comparison entry by entry, once
+as the shell leaves it and once under each of two terminal widths and
+decimal limits, and it is the one test of what an argv writes: a new argv to
+check becomes an entry of ``_EDGES``, the last section, so every earlier
+entry keeps its index.  ``tests/test_cli.py`` keeps only what a run in
+process cannot show, and ``tests/test_environment.py`` runs only
+``_ENVIRONMENT`` again, in child processes, under ``LC_ALL=C``.  The fuzz
+section's argvs come from ``_draw``, which ``tests/test_cli_fuzz.py`` also
+runs through ``record``, with a random that Hypothesis controls in place of
+a seeded one.  CI runs the comparison once more after uninstalling numpy,
+so every argv is also checked without it.  A change that alters the bytes
+on purpose regenerates the file, and the diff of the file is the record of
+what changed.  Standard library only.
 """
-
-from __future__ import annotations
 
 import argparse
 import contextlib
@@ -58,7 +59,8 @@ COMMANDS = list(_ARITY)
 WIDE = "0x" + "f" * 4000  # 16000 bits, about 4817 decimal digits
 LONG_TOKEN = "9" * 4999 + "x"
 
-# What tests/test_environment.py also runs under LC_ALL=C, -h of each command among it.
+# The only argvs tests/test_environment.py runs, in a child under LC_ALL=C and in one
+# without; -h of each command is among them.
 _ENVIRONMENT = [
     ["-h"],
     *([command, "-h"] for command in COMMANDS),
@@ -237,7 +239,8 @@ _EDGES = [
 ]
 
 # The argv generator of the fuzz section, and of tests/test_cli_fuzz.py, which
-# hands it a random that Hypothesis controls and shrinks.
+# hands it a random that Hypothesis controls and shrinks and runs each argv
+# through record.
 _FLAGS = ["--json", "--all", "--verify", "--check-closed-form", "-h", "--timing"]
 _TEXT = "abhxyz019-_=., \n\t\x00\xe9€\U0001d7d9"
 
