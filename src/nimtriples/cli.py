@@ -1,10 +1,12 @@
 """Command-line front end with stable single-line outputs.
 
-Numbers are accepted in decimal, 0x hex, or 0b binary.  On every supported
-Python the bytes written depend on argv and ``NIM_TRIPLE_MAX_K`` alone:
-help is 78 columns wide on any terminal, decimals convert up to
-``limits.DECIMAL_DIGITS`` digits whatever the interpreter's own limit, and
-the CLI writes only ASCII of its own.
+Numbers are accepted in decimal, 0x hex, or 0b binary.  ``NIM_TRIPLE_MAX_K``
+is the one environment variable the package reads, only here, and only for
+``census`` and ``render``, which read it as an operand and pass it down as
+``max_k``.  On every supported Python the bytes written depend on argv and
+that variable alone: help is 78 columns wide on any terminal, decimals
+convert up to ``limits.DECIMAL_DIGITS`` digits whatever the interpreter's
+own limit, and the CLI writes only ASCII of its own.
 ``--json`` emits the same fields as the text, as one JSON object.
 Exit codes: 0 success, 1 failed verification or write error, 2 usage error,
 3 cap exceeded: an enumeration cap, or an integer too long to print in decimal.
@@ -27,10 +29,12 @@ from types import SimpleNamespace
 
 # Every parse needs these two; each command imports the rest of the library
 # in its own body, so a process loads only the modules its command runs.
-from .limits import DECIMAL_DIGITS, CapExceeded
+from .limits import DECIMAL_DIGITS, MAX_K_CEILING, CapExceeded
 from .natural import _token, nim_sum, parse_natural
 
 __all__ = ["main"]
+
+MAX_K_ENV = "NIM_TRIPLE_MAX_K"
 
 
 def _to_devnull(stream) -> None:
@@ -68,6 +72,21 @@ _Result = tuple[dict, Callable[[], str], int]
 
 class _Stop(Exception):
     """The run ends early with ``(exit code, text)``: help (0), a failed write (1), misuse (2)."""
+
+
+def _max_k() -> int | None:
+    """``NIM_TRIPLE_MAX_K`` read as an operand is, up to MAX_K_CEILING, or None where unset."""
+    raw = os.environ.get(MAX_K_ENV)
+    if raw is None:
+        return None
+    try:
+        max_k = parse_natural(raw)
+    except ValueError:
+        max_k = None
+    if max_k is None or max_k > MAX_K_CEILING:
+        refused = f"{MAX_K_ENV} must be an integer in 0..{MAX_K_CEILING}, got {_token(raw)}"
+        raise _Stop(2, f"error: {refused}\n")
+    return max_k
 
 
 def _run_sum(args: SimpleNamespace) -> _Result:
@@ -139,7 +158,7 @@ def _run_move(args: SimpleNamespace) -> _Result:
 def _run_census(args: SimpleNamespace) -> _Result:
     from ._census import census, census_closed_form_check
 
-    report = census(args.k)
+    report = census(args.k, max_k=_max_k())
     text = report.to_line()
     payload = report._asdict()
     code = 0
@@ -191,7 +210,7 @@ def _run_render(args: SimpleNamespace) -> _Result:
     from .render import _pgm_chunks
 
     # written piece by piece: joined, a k=12 PGM would be one more 16 MiB object
-    chunks = _pgm_chunks(args.k, args.c)
+    chunks = _pgm_chunks(args.k, args.c, _max_k())
     try:
         _write_replacing(args.out, chunks)
     except OSError as exc:

@@ -1,8 +1,6 @@
 """Enumeration caps of every operation, and the one check of a bit width against its cap."""
 
-import os
-
-from .natural import _echo, parse_natural, require_natural, shown
+from .natural import _echo, require_natural, shown
 
 # The exclusion set holds up to a + b elements; beyond this the oracle refuses
 # and the caller should use the direct XOR instead.
@@ -15,16 +13,14 @@ TABLE_MAX_N = 1024
 DEFAULT_CENSUS_MAX_K = 7
 DEFAULT_RENDER_MAX_K = 12
 
-# Optional override for both bit-width caps above.  Either cap, from this
-# variable or a max_k argument, must be an integer in 0..MAX_K_CEILING.  The
-# ceiling bounds render memory (at k=16 a render is already a 4 GiB grid),
+# A max_k argument moves either cap above, to an integer in 0..MAX_K_CEILING.
+# The ceiling bounds render memory (at k=16 a render is already a 4 GiB grid),
 # not time; the exhaustive census check has its own cap, CENSUS_CHECK_MAX_K.
-MAX_K_ENV = "NIM_TRIPLE_MAX_K"
 MAX_K_CEILING = 16
 
 # The exhaustive census check sweeps 8**k triples; the README's cap ledger
 # gives its time at this cap, 8**k = 2**30.
-# It is the check's only cap: neither max_k nor NIM_TRIPLE_MAX_K applies.
+# It is the check's only cap: max_k does not apply.
 CENSUS_CHECK_MAX_K = 10
 
 # The command line converts integers to and from decimal up to this many
@@ -45,27 +41,15 @@ def checked_width(what: str, k: int, max_k: int | None) -> int:
     """``k`` as a natural bit width from the least width up to the cap of ``what``.
 
     ``what`` is ``"census"`` or ``"render"``.  The cap is ``max_k`` when given,
-    else the ``NIM_TRIPLE_MAX_K`` override, read by ``parse_natural`` like a
-    numeric argument of the CLI, else the default of ``what``.
-    Raises ValueError for a cap from either source that is not a natural up
-    to MAX_K_CEILING, for a non-natural ``k`` or one below the least width,
-    and CapExceeded for one above the cap.
+    else the default of ``what``.  Raises ValueError for a ``max_k`` that is
+    not a natural up to MAX_K_CEILING, for a non-natural ``k`` or one below
+    the least width, and CapExceeded for one above the cap.
     """
     least, default = _WIDTHS[what]
-    source, given = "max_k", max_k
     if max_k is None:
-        source, given = MAX_K_ENV, os.environ.get(MAX_K_ENV)
-    if given is None:
         max_k = default
-    else:
-        try:
-            max_k = parse_natural(given) if source == MAX_K_ENV else require_natural(given)
-        except ValueError:
-            max_k = None
-        if max_k is None or max_k > MAX_K_CEILING:
-            raise ValueError(
-                f"{source} must be an integer in 0..{MAX_K_CEILING}, got {_echo(given)}"
-            )
+    elif type(max_k) is not int or not 0 <= max_k <= MAX_K_CEILING:
+        raise ValueError(f"max_k must be an integer in 0..{MAX_K_CEILING}, got {_echo(max_k)}")
     k = require_natural(k)
     if k < least:
         raise ValueError(f"bit width must be >= {least}, got {k}")

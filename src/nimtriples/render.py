@@ -64,9 +64,9 @@ def classification_grid(k: int, fixed_c: int, *, max_k: int | None = None) -> "n
     return np.frombuffer(cells, np.uint8).reshape(n, n)
 
 
-def _pgm_chunks(k: int, fixed_c: int) -> list[bytes]:
+def _pgm_chunks(k: int, fixed_c: int, max_k: int | None) -> list[bytes]:
     """The PGM header, then the grid's pieces: what the CLI writes as is, joined nowhere."""
-    k, fixed_c = _checked(k, fixed_c, None)
+    k, fixed_c = _checked(k, fixed_c, max_k)
     return [_header(k), *_pieces(k, fixed_c)]
 
 

@@ -1,9 +1,9 @@
 """What the test modules share: the environment a test runs in, and the golden battery.
 
-``NIM_TRIPLE_MAX_K`` is removed for every test, so each cap a test expects is
-the default whatever the shell exports; a test that needs the variable sets
-it itself.  ``child_env`` is the one environment of a child interpreter, and
-``golden`` is ``tools/golden.py``, loaded once.
+``NIM_TRIPLE_MAX_K`` is removed for every test, so a ``main`` run in process
+caps census and render at their defaults whatever the shell exports; a test
+that needs the variable sets it itself.  ``child_env`` is the one environment
+of a child interpreter, and ``golden`` is ``tools/golden.py``, loaded once.
 """
 
 import importlib.util

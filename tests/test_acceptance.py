@@ -76,7 +76,7 @@ def test_nonflat_triangles_have_one_or_three_large_vertices():
         "non-flat large count",
         violations == 0 and elapsed < 5.0,
         f"{nonflat} non-flat of {side ** 3} triples under {side} and {wide_nonflat} of "
-        f"{len(wide)} wide ones, {violations} violations, {elapsed:.2f}s",
+        f"{len(wide)} wide ones, {violations} violations",
     )
 
 
@@ -163,7 +163,7 @@ def test_greedy_table_is_the_xor_table():
     report(
         "greedy table",
         ok,
-        f"n={n} latin={latin} xor={'ok' if matches else first_bad} {elapsed:.2f}s",
+        f"n={n} latin={latin} xor={'ok' if matches else first_bad}",
     )
 
 

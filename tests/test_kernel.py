@@ -126,7 +126,7 @@ def test_pgm_chunks_render_and_grid_assemble_the_same_cells(k):
     n = 1 << k
     for c in [*range(2 * n + 2), *WIDE_C]:
         data = render_pgm(k, c)
-        assert data == b"".join(_pgm_chunks(k, c)), (k, c)
+        assert data == b"".join(_pgm_chunks(k, c, None)), (k, c)
         grid = classification_grid(k, c)
         assert grid.dtype == "uint8" and grid.shape == (n, n) and grid.flags.writeable, (k, c)
         assert data[-(n * n) :] == grid.tobytes(), (k, c)

@@ -285,6 +285,27 @@ print(repr(sorted(set(sys.modules) - before)))
     assert fresh(code, read=ast.literal_eval) == ["nimtriples"]
 
 
+def _places(node, where, found):
+    """``where``, dotted with the name of each function or class around it, of each
+    node under ``node`` that ``found`` holds for."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _places(child, f"{where}.{child.name}", found)
+        elif found(child):
+            yield where
+        else:
+            yield from _places(child, where, found)
+
+
+def _package_places(found):
+    """Every place in the package, at module level or in any function, that ``found`` holds for."""
+    return sorted(
+        place
+        for path in PACKAGE.glob("*.py")
+        for place in _places(ast.parse(path.read_text()), path.stem, found)
+    )
+
+
 def _loads_numpy(node):
     if isinstance(node, ast.Import):
         return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
@@ -304,32 +325,24 @@ def _for_annotations_only(node):
 
 def test_no_module_imports_typing_or_future():
     # the records are collections.namedtuple, and every annotation evaluates as written
-    found = sorted(
-        f"{path.name}:{node.lineno}"
-        for path in PACKAGE.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text()))
-        if _for_annotations_only(node)
-    )
-    assert found == []
-
-
-def _numpy_importers(node, where):
-    """``where``, dotted with the name of each function or class around it, of each
-    import of numpy under ``node``."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _numpy_importers(child, f"{where}.{child.name}")
-        elif _loads_numpy(child):
-            yield where
-        else:
-            yield from _numpy_importers(child, where)
+    assert _package_places(_for_annotations_only) == []
 
 
 def test_only_classification_grid_imports_numpy():
-    # at module level or in any function, on every path of every command
-    importers = sorted(
-        importer
-        for path in PACKAGE.glob("*.py")
-        for importer in _numpy_importers(ast.parse(path.read_text()), path.stem)
-    )
-    assert importers == ["render.classification_grid"]
+    # on every path of every command
+    assert _package_places(_loads_numpy) == ["render.classification_grid"]
+
+
+_ENVIRON = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _reads_environment(node):
+    """Whether ``node`` names ``os.environ`` or ``os.getenv``, as an attribute or an import."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(alias.name in _ENVIRON for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr in _ENVIRON
+
+
+def test_only_the_command_line_reads_the_environment():
+    # the library's only inputs are its arguments; the CLI reads NIM_TRIPLE_MAX_K in one helper
+    assert _package_places(_reads_environment) == ["cli._max_k"]
