@@ -18,6 +18,10 @@ __all__ = ["Move", "advise_move", "winning_moves"]
 Move = namedtuple("Move", "pile new_size")
 Move.__doc__ = """Lower pile ``pile`` to ``new_size``."""
 
+# namedtuple's own _make route minus its length check: calling the class runs a generated
+# Python __new__ that about doubles a record's cost, so keep the records built through _new.
+_new = tuple.__new__
+
 
 def advise_move(piles: Sequence[int]) -> Move | None:
     """First winning reduction, leftmost pile wins ties; None if the position is lost.
@@ -42,7 +46,7 @@ def advise_move(piles: Sequence[int]) -> Move | None:
         if target < size:
             break
     # the loop stops at a pile that reduces, which exists as proved above
-    return Move(i, target)
+    return _new(Move, (i, target))
 
 
 def winning_moves(piles: Sequence[int]) -> list[Move]:
@@ -59,5 +63,5 @@ def winning_moves(piles: Sequence[int]) -> list[Move]:
     for i, size in enumerate(sizes):
         others = size ^ total
         if others < size:
-            moves.append(Move(i, others))
+            moves.append(_new(Move, (i, others)))
     return moves

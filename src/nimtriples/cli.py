@@ -242,7 +242,8 @@ _COMMANDS = {
                "k c", "--out OUT", "output file path"),
 }
 _CHOICES = "{" + ",".join(list(_COMMANDS)[1:]) + "}"
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's test for a negative number
+# argparse's test for a negative number, compiled by re's own cache when a token first needs it
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
 
 
 def _dest(option: str) -> str:
@@ -294,7 +295,7 @@ def _option(token: str, level: str) -> tuple[str, str | None] | None:
     matches = [option for option in known if token[1] == "-" and option.startswith(name)]
     if matches:
         return matches[0].replace("--help", "-h/--help"), explicit if equals else None
-    return None if _NEGATIVE.match(token) or " " in token else ("", None)
+    return None if re.match(_NEGATIVE, token) or " " in token else ("", None)
 
 
 def _parse(argv: list[str]) -> SimpleNamespace:

@@ -44,6 +44,8 @@ _L = VertexStatus.LARGE
 _S = VertexStatus.SMALL
 _A = VertexStatus.ALIGNED
 _TIGHT = (_L, _L, _L)
+_TIGHT_KIND = TriangleClass.TIGHT
+_LOOSE_KIND = TriangleClass.LOOSE
 
 
 TriangleClassification = namedtuple("TriangleClassification", "statuses kind discriminant")
@@ -56,6 +58,10 @@ bit position whose digits force the statuses.
 
 
 _FLAT = TriangleClassification((_A, _A, _A), TriangleClass.FLAT, None)
+
+# namedtuple's own _make route minus its length check: calling the class runs a generated
+# Python __new__ that about doubles a record's cost, so keep the records built through _new.
+_new = tuple.__new__
 
 
 def classify_vertex(x: int, y: int, z: int) -> VertexStatus:
@@ -90,8 +96,8 @@ def classify_triangle(a: int, b: int, c: int) -> TriangleClassification:
         _L if (b ^ t) < b else _S,
         _L if (c ^ t) < c else _S,
     )
-    kind = TriangleClass.TIGHT if statuses == _TIGHT else TriangleClass.LOOSE
-    return TriangleClassification(statuses, kind, t.bit_length() - 1)
+    kind = _TIGHT_KIND if statuses == _TIGHT else _LOOSE_KIND
+    return _new(TriangleClassification, (statuses, kind, t.bit_length() - 1))
 
 
 # Outcome per digit triple (a_j, b_j, c_j) at the discriminant.  None marks

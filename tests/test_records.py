@@ -17,36 +17,56 @@ from nimtriples import (
     advise_move,
     census,
     classify_triangle,
+    winning_moves,
 )
 
-_LOOSE = ((VertexStatus.LARGE, VertexStatus.SMALL, VertexStatus.SMALL), TriangleClass.LOOSE, 2)
+_L, _S = VertexStatus.LARGE, VertexStatus.SMALL
+_CLASSIFICATION = TriangleClassification, ("statuses", "kind", "discriminant")
+_MOVE = Move, ("pile", "new_size")
 
+# One row per place that builds a record: advise_move's first and a later pile,
+# each of the three moves of winning_moves, and both non-flat kinds.
 RECORDS = [
-    (advise_move([5, 1, 2]), Move, ("pile", "new_size"), (0, 3), "Move(pile=0, new_size=3)"),
-    (
+    pytest.param(advise_move([5, 1, 2]), *_MOVE, (0, 3), "Move(pile=0, new_size=3)", id="Move"),
+    pytest.param(
+        advise_move([5, 1, 2, 8]), *_MOVE, (3, 6), "Move(pile=3, new_size=6)", id="Move-later-pile"
+    ),
+    *[
+        pytest.param(
+            move, *_MOVE, (i, size), f"Move(pile={i}, new_size={size})", id=f"winning_moves-{i}"
+        )
+        for i, (move, size) in enumerate(zip(winning_moves((7, 5, 6)), [3, 1, 2], strict=True))
+    ],
+    pytest.param(
         classify_triangle(5, 1, 2),
-        TriangleClassification,
-        ("statuses", "kind", "discriminant"),
-        _LOOSE,
+        *_CLASSIFICATION,
+        ((_L, _S, _S), TriangleClass.LOOSE, 2),
         "TriangleClassification(statuses=(<VertexStatus.LARGE: 'large'>,"
         " <VertexStatus.SMALL: 'small'>, <VertexStatus.SMALL: 'small'>),"
         " kind=<TriangleClass.LOOSE: 'loose'>, discriminant=2)",
+        id="TriangleClassification",
     ),
-    (
+    pytest.param(
+        classify_triangle(7, 5, 6),
+        *_CLASSIFICATION,
+        ((_L, _L, _L), TriangleClass.TIGHT, 2),
+        "TriangleClassification(statuses=(<VertexStatus.LARGE: 'large'>,"
+        " <VertexStatus.LARGE: 'large'>, <VertexStatus.LARGE: 'large'>),"
+        " kind=<TriangleClass.TIGHT: 'tight'>, discriminant=2)",
+        id="TriangleClassification-tight",
+    ),
+    pytest.param(
         census(2),
         CensusReport,
         ("k", "flat", "tight", "loose"),
         (2, 16, 12, 36),
         "CensusReport(k=2, flat=16, tight=12, loose=36)",
+        id="CensusReport",
     ),
 ]
 
 
-@pytest.mark.parametrize(
-    ("record", "cls", "fields", "values", "text"),
-    RECORDS,
-    ids=["Move", "TriangleClassification", "CensusReport"],
-)
+@pytest.mark.parametrize(("record", "cls", "fields", "values", "text"), RECORDS)
 def test_record_is_the_named_tuple_of_its_values(record, cls, fields, values, text):
     assert type(record) is cls
     assert cls._fields == fields
