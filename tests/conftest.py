@@ -1,4 +1,6 @@
-"""What the test modules share: the environment a test runs in, and the golden battery.
+"""What the test modules share: the environment a test runs in, the golden battery,
+the README, and the naturals that more than one module draws, each from a
+``random.Random`` of constant seed, so each run checks the same cases.
 
 ``NIM_TRIPLE_MAX_K`` is removed for every test, so a ``main`` run in process
 caps census and render at their defaults whatever the shell exports; a test
@@ -8,6 +10,7 @@ of a child interpreter, and ``golden`` is ``tools/golden.py``, loaded once.
 
 import importlib.util
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,30 @@ SRC = ROOT / "src"
 _spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
 golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
+
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+# the ends of the 64-bit word and of two of them, where a fixed-width sum would wrap
+WORD_EDGES = (0, *((1 << w) + d for w in (63, 64, 128) for d in (-1, 0, 1)))
+
+# entries below 2**10, about the 64-bit word, and far past it
+_ENTRY_RANGES = ((0, (1 << 10) + 1), ((1 << 60) - 8, (1 << 66) + 1), (0, (1 << 300) + 1))
+
+
+def random_entry(rng):
+    """A natural drawn from one of three ranges: up to 2**10, about 2**64, and up to 2**300."""
+    return rng.randrange(*rng.choice(_ENTRY_RANGES))
+
+
+def of_width(rng, width):
+    """A natural of exactly ``width`` bits."""
+    return (1 << (width - 1)) | rng.getrandbits(width - 1)
+
+
+def acceptance_block():
+    """The lines of the README's acceptance block: the verdicts of one run of the suite."""
+    (block,) = re.findall(r"^```\n(acceptance [^`]*)```$", README, re.MULTILINE)
+    return block.splitlines()
 
 
 @pytest.fixture(autouse=True)

@@ -2,9 +2,10 @@
 
 Each test prints a one-line verdict (run with ``pytest -s`` to see them all)
 and then asserts, so a failure is visible both in the report line and in the
-pytest summary.  The checks are exhaustive at small widths and randomized at
-large widths; every bound is checked exactly, timings against wall-clock
-budgets.
+pytest summary.  A passing verdict must also be a line of the README's
+acceptance block, so the block is checked in the run that prints it.  The
+checks are exhaustive at small widths and seeded at large widths; every bound
+is checked exactly, timings against wall-clock budgets.
 """
 
 import random
@@ -29,23 +30,14 @@ from nimtriples import (
 )
 from nimtriples.triangles import TriangleClass, VertexStatus
 
+from conftest import WORD_EDGES, acceptance_block, of_width, random_entry
+
 
 def report(name, ok, detail):
-    print(f"acceptance {name}: {'PASS' if ok else 'FAIL'} ({detail})")
+    line = f"acceptance {name}: {'PASS' if ok else 'FAIL'} ({detail})"
+    print(line)
     assert ok, f"{name}: {detail}"
-
-
-# entries below 2**10, about the 64-bit word, and far past it
-_ENTRY_RANGES = ((0, (1 << 10) + 1), ((1 << 60) - 8, (1 << 66) + 1), (0, (1 << 300) + 1))
-
-
-def _random_entry(rng):
-    return rng.randrange(*rng.choice(_ENTRY_RANGES))
-
-
-def _of_width(rng, width):
-    """A natural of exactly ``width`` bits."""
-    return (1 << (width - 1)) | rng.getrandbits(width - 1)
+    assert line in acceptance_block(), f"the README's acceptance block lacks {line!r}"
 
 
 def _large_count_check(triples):
@@ -66,7 +58,7 @@ def _large_count_check(triples):
 def test_nonflat_triangles_have_one_or_three_large_vertices():
     side = 1 << 6
     rng = random.Random(1013)
-    wide = [tuple(_random_entry(rng) for _ in range(3)) for _ in range(10_000)]
+    wide = [tuple(random_entry(rng) for _ in range(3)) for _ in range(10_000)]
     start = time.perf_counter()
     nonflat, small_violations = _large_count_check(product(range(side), repeat=3))
     wide_nonflat, wide_violations = _large_count_check(wide)
@@ -83,7 +75,7 @@ def test_nonflat_triangles_have_one_or_three_large_vertices():
 def test_sum_vertex_forces_flat():
     side = 1 << 7
     rng = random.Random(160)
-    wide = [tuple(_of_width(rng, rng.randrange(64, 161)) for _ in range(2)) for _ in range(1000)]
+    wide = [tuple(of_width(rng, rng.randrange(64, 161)) for _ in range(2)) for _ in range(1000)]
     violations = 0
     for a, b in [*product(range(side), repeat=2), *wide]:
         result = classify_triangle(a, b, a ^ b)
@@ -117,7 +109,7 @@ def _case_table_check(triples):
 def test_case_table_agrees_with_direct_statuses():
     side = 1 << 5
     rng = random.Random(31337)
-    wide = [tuple(_random_entry(rng) for _ in range(3)) for _ in range(10_000)]
+    wide = [tuple(random_entry(rng) for _ in range(3)) for _ in range(10_000)]
     small_checked, small_violations = _case_table_check(product(range(side), repeat=3))
     wide_checked, wide_violations = _case_table_check(wide)
     violations = small_violations + wide_violations
@@ -229,18 +221,14 @@ def _xor_by_digits(a, b):
     return out
 
 
-# the ends of the 64-bit word and of two of them, where a fixed-width sum would wrap
-_WORD_EDGES = (0, *((1 << w) + d for w in (63, 64, 128) for d in (-1, 0, 1)))
-
-
 def _wide_triples(rng, per_width):
     """For each width w from 1 to 300 bits, ``per_width`` triples whose first entry has w bits
     and whose second is below 2**w; then every triple of word edges."""
     for width in range(1, 301):
         for _ in range(per_width):
-            a, b = _of_width(rng, width), rng.getrandbits(width)
-            yield a, b, _of_width(rng, rng.randrange(1, 301))
-    yield from product(_WORD_EDGES, repeat=3)
+            a, b = of_width(rng, width), rng.getrandbits(width)
+            yield a, b, of_width(rng, rng.randrange(1, 301))
+    yield from product(WORD_EDGES, repeat=3)
 
 
 def _broken_law(a, b, c):
@@ -288,7 +276,7 @@ def test_group_laws_exhaustively_and_at_width():
             problems.append(f"wide {law} #{i}")
             break
     # the digit-by-digit rule is slow, so it checks every 20th case and every pair of word edges
-    digitwise = [*(triple[:2] for triple in wide[::20]), *product(_WORD_EDGES, repeat=2)]
+    digitwise = [*(triple[:2] for triple in wide[::20]), *product(WORD_EDGES, repeat=2)]
     if any(nim_sum(a, b) != _xor_by_digits(a, b) for a, b in digitwise):
         problems.append("wide digitwise")
     report(

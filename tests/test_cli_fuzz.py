@@ -1,40 +1,55 @@
-"""Argv fuzzing of the command line: every argv ends in exit 0, 1, 2 or 3.
+"""The command line's exit contract, on every battery entry and on seeded argvs.
 
-A usage error or a cap (exit 2 or 3) leaves stdout empty; a cap writes
-exactly one ``error:`` line to stderr.
+Every run exits 0, 1, 2 or 3 and shows no traceback.  Exit 0 writes nothing
+to stderr.  Any other exit writes nothing to stdout, and to stderr one
+``error:`` line, or for a usage error (exit 2) a usage block of two or three
+lines whose last starts ``nimtriples: error:`` or ``nimtriples <command>: error:``.
+Every entry of ``tests/golden_cli.json`` is held to it, so ``tools/golden.py
+--write`` cannot record a traceback as golden.
 
-The argvs come from ``_draw`` in ``tools/golden.py``, the generator of the
-golden battery's fuzz section, here driven by a random that Hypothesis
-controls and shrinks: the eight command names, the real flags, the removed
-``--timing``, numbers in every accepted spelling (negative, past 64 bits and
-past the CLI's decimal digit limit too) and junk, as loose tokens or shaped
-like a real call.  Each argv runs through ``record`` of ``tools/golden.py``,
-as a battery entry does, with ``NIM_TRIPLE_MAX_K`` at 4, so widths are capped
-at 4; small operands stay at 64 or below, so each argv runs in about a
-millisecond, and the wide operands only ever reach a cap or the output
-limit.  Lists of arbitrary text, past the few characters of ``_draw``'s
-junk, are a test of their own: as a second branch of one strategy they took
-about three quarters of the examples.
+The seeded argvs come from ``_draw`` in ``tools/golden.py``, the generator of
+the battery's fuzz section, under a seed of their own: the eight command
+names, the real flags, the removed ``--timing``, numbers in every accepted
+spelling (negative, past 64 bits and past the CLI's decimal digit limit too)
+and junk, as loose tokens or shaped like a real call.  Lists of arbitrary
+text are a loop of their own.  Each argv runs through ``record``, as a
+battery entry does, with ``NIM_TRIPLE_MAX_K`` at 4, so widths are capped at
+4; small operands stay at 64 or below, so each argv runs in about a
+millisecond, and the wide operands only ever reach a cap or the output limit.
 """
 
-import sys
+import json
+import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import golden
 
+SEED = 34
+DRAWS = 300
+_USAGE_ERRORS = ("nimtriples: error: ", *(f"nimtriples {c}: error: " for c in golden.COMMANDS))
 
-@pytest.fixture(scope="module", autouse=True)
-def _unlimited_int_strings():
-    # Hypothesis formats a failing example's choices with str() before it shrinks,
-    # and _draw's wide operands pass the default limit of 4300 digits; main sets
-    # and restores its own limit, and a function-scoped fixture fails a health check
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    yield
-    sys.set_int_max_str_digits(limit)
+
+def assert_contract(entry):
+    """``entry``, a battery entry as ``golden.record`` builds it, keeps the exit contract."""
+    code, out, err = entry["exit"], entry.get("stdout"), entry["stderr"]
+    assert code in {0, 1, 2, 3} and "Traceback" not in err, entry
+    if code == 0:
+        assert err == "", entry
+        return
+    # a stdout past golden.LONG characters is recorded by its length, not as "stdout"
+    assert out == "", entry
+    lines = err.split("\n")
+    assert lines.pop() == "", entry
+    if code == 2 and len(lines) in {2, 3}:
+        assert lines[0].startswith("usage: ") and lines[-1].startswith(_USAGE_ERRORS), entry
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: "), entry
+
+
+def test_every_battery_entry_keeps_the_contract():
+    for entry in json.loads(golden.GOLDEN.read_text(encoding="ascii")):
+        assert_contract(entry)
 
 
 @pytest.fixture(scope="module")
@@ -43,26 +58,21 @@ def workdir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("fuzz"))
 
 
-def _exits_0_to_3(workdir, argv):
-    entry = golden.record(argv, "4", workdir)
-    code, out, err = entry["exit"], entry.get("stdout"), entry["stderr"]
-    assert code in {0, 1, 2, 3}, (argv, code, err)
-    assert "Traceback" not in err
-    if code in {2, 3}:
-        # a stdout past golden.LONG characters is recorded by its length, not as "stdout"
-        assert out == "" and err, (argv, code)
-    if code == 3:
-        assert err.count("\n") == 1, (argv, err)
-        assert err.startswith("error: "), (argv, err)
+def test_every_argv_exits_0_to_3(workdir):
+    rng = random.Random(SEED)
+    for _ in range(DRAWS):
+        assert_contract(golden.record(golden._draw(rng), "4", workdir))
 
 
-@settings(max_examples=150, deadline=None)
-@given(argv=st.randoms().map(golden._draw))
-def test_every_argv_exits_0_to_3(workdir, argv):
-    _exits_0_to_3(workdir, argv)
+# the code points of a text argv, a third from each: _draw's junk, below and above the surrogates
+_POINTS = ([*map(ord, golden._TEXT)], range(0xD800), range(0xE000, 0x110000))
 
 
-@settings(max_examples=150, deadline=None)
-@given(argv=st.lists(st.text(max_size=6), max_size=6))
-def test_every_text_argv_exits_0_to_3(workdir, argv):
-    _exits_0_to_3(workdir, argv)
+def _text(rng):
+    return "".join(chr(rng.choice(rng.choice(_POINTS))) for _ in range(rng.randint(0, 6)))
+
+
+def test_every_text_argv_exits_0_to_3(workdir):
+    rng = random.Random(SEED)
+    for _ in range(DRAWS):
+        assert_contract(golden.record([_text(rng) for _ in range(rng.randint(0, 6))], "4", workdir))

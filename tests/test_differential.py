@@ -4,8 +4,8 @@ The case table's route is checked against the classifier's statuses in
 ``tests/test_acceptance.py``, exhaustively under 32 and at these widths.
 """
 
-from hypothesis import given
-from hypothesis import strategies as st
+import random
+from itertools import product
 
 from nimtriples import (
     GRAY_LEVELS,
@@ -16,15 +16,10 @@ from nimtriples import (
     winning_moves,
 )
 
+from conftest import WORD_EDGES, random_entry
+
 MAX_K = 10
 MOVES = {TriangleClass.FLAT: 0, TriangleClass.LOOSE: 1, TriangleClass.TIGHT: 3}
-
-# c below 2**k, around the 64-bit word, and far past it
-any_c = st.one_of(
-    st.integers(min_value=0, max_value=1 << MAX_K),
-    st.integers(min_value=(1 << 60) - 8, max_value=(1 << 66)),
-    st.integers(min_value=0, max_value=1 << 300),
-)
 
 
 def assert_routes_agree(a, b, c):
@@ -39,17 +34,23 @@ def assert_routes_agree(a, b, c):
     return result
 
 
-@given(st.integers(min_value=0, max_value=MAX_K), any_c, st.data())
-def test_render_pixel_classifier_and_advisor_agree(k, c, data):
-    n = 1 << k
-    pgm = render_pgm(k, c, max_k=MAX_K)
-    header = len(pgm) - n * n
-    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    for a, b in data.draw(st.lists(cells, min_size=1, max_size=8)):
-        result = assert_routes_agree(a, b, c)
-        assert pgm[header + a * n + b] == GRAY_LEVELS[result.kind]
+def test_render_pixel_classifier_and_advisor_agree():
+    # for each k, c is each word edge, 2**k - 1, 2**k and ten seeded entries; and for each
+    # grid, the cells are its two corners on the diagonal and six seeded ones
+    rng = random.Random(MAX_K)
+    for k in range(MAX_K + 1):
+        n = 1 << k
+        for c in [*WORD_EDGES, n - 1, n, *(random_entry(rng) for _ in range(10))]:
+            pgm = render_pgm(k, c, max_k=MAX_K)
+            header = len(pgm) - n * n
+            seeded = [(rng.randrange(n), rng.randrange(n)) for _ in range(6)]
+            for a, b in [(0, 0), (n - 1, n - 1), *seeded]:
+                result = assert_routes_agree(a, b, c)
+                assert pgm[header + a * n + b] == GRAY_LEVELS[result.kind], (k, c, a, b)
 
 
-@given(any_c, any_c, any_c)
-def test_wide_triples_agree_without_a_grid(a, b, c):
-    assert_routes_agree(a, b, c)
+def test_wide_triples_agree_without_a_grid():
+    rng = random.Random(300)
+    seeded = [tuple(random_entry(rng) for _ in range(3)) for _ in range(1000)]
+    for a, b, c in [*product(range(8), repeat=3), *product(WORD_EDGES, repeat=3), *seeded]:
+        assert_routes_agree(a, b, c)

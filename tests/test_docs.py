@@ -3,17 +3,17 @@
 A count, a cap or a command that the README copies from elsewhere is read
 from its source here, so the prose cannot drift from it: the battery's
 size, ``tools/golden.py``'s default number of draws, the cap ledger's
-values, and the numpy-free test command that CI runs.
+values, the numpy-free test command that CI runs, and the criteria of the
+acceptance block.  Each verdict line of that block is checked against the
+suite's own output by ``report`` in ``tests/test_acceptance.py``.
 """
 
 import ast
 import json
 import re
 
-from conftest import ROOT, golden
+from conftest import README, ROOT, acceptance_block, golden
 from nimtriples import limits
-
-README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _stated(pattern: str) -> int:
@@ -65,3 +65,14 @@ def test_numpy_free_command_is_the_ci_step():
             break
         step.append(line)
     assert block.replace("\\\n", " ").split() == " ".join(step).split()
+
+
+def test_acceptance_block_has_one_line_per_criterion():
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    calls = sorted(
+        (node.lineno, node.col_offset, node.args[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "report"
+    )
+    names = [line.removeprefix("acceptance ").partition(":")[0] for line in acceptance_block()]
+    assert names == list(dict.fromkeys(name for *_, name in calls))

@@ -1,8 +1,8 @@
 import gc
+import random
+from itertools import product
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from nimtriples import (
     MEX_ENUMERATION_CAP,
@@ -17,7 +17,12 @@ from nimtriples import (
 from nimtriples.limits import TABLE_MAX_N
 from nimtriples.mex import _exclusion_marks, _xor_rows
 
-small = st.integers(min_value=0, max_value=400)
+
+def _pairs(side, top, count):
+    """Every pair under ``side`` and of 0, ``top - 1`` and ``top``; ``count`` seeded to ``top``."""
+    rng = random.Random(top)
+    seeded = [(rng.randint(0, top), rng.randint(0, top)) for _ in range(count)]
+    return [*product(range(side), repeat=2), *product((0, top - 1, top), repeat=2), *seeded]
 
 
 def test_exclusion_set_examples():
@@ -33,11 +38,11 @@ def test_exclusion_set_is_both_lowering_directions():
     assert exclusion_set(a, b) == lowered_a | lowered_b
 
 
-@given(small, small)
-def test_exclusion_set_never_contains_the_sum(a, b):
-    excluded = exclusion_set(a, b)
-    assert len(excluded) <= a + b
-    assert nim_sum(a, b) not in excluded
+def test_exclusion_set_never_contains_the_sum():
+    for a, b in _pairs(64, 400, 200):
+        excluded = exclusion_set(a, b)
+        assert len(excluded) <= a + b, (a, b)
+        assert nim_sum(a, b) not in excluded, (a, b)
 
 
 def test_cap_exceeded():
@@ -69,12 +74,10 @@ def test_mex_oracle_at_the_cap(a):
     assert mex_oracle(a, b) == a ^ b
 
 
-@given(st.integers(min_value=0, max_value=4096), st.integers(min_value=0, max_value=4096))
-def test_block_marks_are_the_exclusion_set(a, b):
-    marks = _exclusion_marks(a, b)
-    excluded = exclusion_set(a, b)
-    assert len(marks) == a + b + 1
-    assert marks == bytes(v in excluded for v in range(a + b + 1))
+def test_block_marks_are_the_exclusion_set():
+    for a, b in _pairs(32, 4096, 100):
+        excluded = exclusion_set(a, b)
+        assert _exclusion_marks(a, b) == bytes(v in excluded for v in range(a + b + 1)), (a, b)
 
 
 @pytest.mark.parametrize("bad", [True, -1, 2.0])
@@ -214,24 +217,16 @@ def _first_mismatch(rows):
     return True, None
 
 
-@st.composite
-def _tables(draw):
-    """The n-by-n XOR table for n in 0..40, with up to two cells tampered."""
-    n = draw(st.integers(min_value=0, max_value=40))
-    rows = [[a ^ b for b in range(n)] for a in range(n)]
-    if n:
-        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-        for a, b in draw(st.lists(cells, max_size=2)):
-            rows[a][b] = draw(st.integers(min_value=-2, max_value=80))
-    return rows
-
-
-@given(_tables(), st.sampled_from(["lists", "tuples"]))
-def test_verify_matches_the_cell_by_cell_check(rows, form):
-    want = _first_mismatch(rows)
-    if form == "tuples":
-        rows = [tuple(row) for row in rows]
-    assert verify_table_equals_xor(rows) == want
+def test_verify_matches_the_cell_by_cell_check():
+    # every n in 0..40, with 0, 1 and 2 seeded cells set to seeded values in -2..80
+    rng = random.Random(40)
+    for n, tampered in product(range(41), range(3)):
+        rows = [[a ^ b for b in range(n)] for a in range(n)]
+        for _ in range(tampered if n else 0):
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.randint(-2, 80)
+        want = _first_mismatch(rows)
+        assert verify_table_equals_xor(rows) == want, rows
+        assert verify_table_equals_xor([tuple(row) for row in rows]) == want, rows
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 100, 256])
@@ -267,15 +262,15 @@ def test_verify_refuses_a_table_that_is_not_square(rows):
         verify_table_equals_xor(rows)
 
 
-_entries = st.one_of(
-    st.integers(min_value=-300, max_value=300),
-    st.integers(min_value=-(1 << 200), max_value=1 << 200),
-)
-
-
-@given(st.lists(st.lists(_entries, max_size=12), max_size=12))
-def test_table_to_text_is_str_of_every_entry(rows):
-    assert table_to_text(rows) == "\n".join(" ".join(map(str, row)) for row in rows)
+def test_table_to_text_is_str_of_every_entry():
+    # ten seeded tables of each height 0..12: rows of 0 to 12 entries, each in -300..300 or
+    # in -2**200..2**200, half the time each
+    rng = random.Random(200)
+    bounds = ((-300, 300), (-(1 << 200), 1 << 200))
+    for height in [*range(13)] * 10:
+        widths = [rng.randint(0, 12) for _ in range(height)]
+        rows = [[rng.randint(*rng.choice(bounds)) for _ in range(w)] for w in widths]
+        assert table_to_text(rows) == "\n".join(" ".join(map(str, row)) for row in rows), rows
 
 
 def test_table_to_text_names_equal_entries_once():

@@ -1,12 +1,12 @@
+import random
 import re
+from itertools import product
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from nimtriples import bit, census, nim_sum, parse_natural, require_natural
 
-naturals = st.integers(min_value=0)
+from conftest import WORD_EDGES, of_width
 
 
 def test_parse_decimal():
@@ -41,15 +41,19 @@ def test_parse_refuses_non_strings(value):
     assert str(exc.value) == f"not a natural number: {value!r}"
 
 
-@given(naturals)
-def test_parse_round_trips_decimal(x):
-    assert parse_natural(str(x)) == x
+# every natural under 256, the word edges, and one seeded natural of each width to 300 bits
+_rng = random.Random(300)
+_NATURALS = [*range(256), *WORD_EDGES, *(of_width(_rng, w) for w in range(1, 301))]
 
 
-@given(naturals)
-def test_parse_round_trips_hex_and_binary(x):
-    assert parse_natural(hex(x)) == x
-    assert parse_natural(bin(x)) == x
+def test_parse_round_trips_decimal():
+    for x in _NATURALS:
+        assert parse_natural(str(x)) == x, x
+
+
+def test_parse_round_trips_hex_and_binary():
+    for x in _NATURALS:
+        assert parse_natural(hex(x)) == parse_natural(bin(x)) == x, x
 
 
 def test_nim_sum_examples():
@@ -179,20 +183,26 @@ def test_parse_keeps_prefix_like_hex_digits():
 
 
 _GRAMMAR = re.compile(r"\s*(?:0[xX]([0-9a-fA-F]+)|0[bB]([01]+)|([0-9]+))\s*")
+_ALPHABET = "0123456789abfxXB_+- \t٣５"
 
 
-@given(st.text(alphabet="0123456789abfxXbB_+- \t٣５", max_size=12))
-def test_parse_accepts_exactly_the_grammar(text):
-    match = _GRAMMAR.fullmatch(text)
-    if match is None:
-        with pytest.raises(ValueError):
-            parse_natural(text)
-    else:
-        hex_digits, bin_digits, dec_digits = match.groups()
-        if hex_digits is not None:
-            expected = int(hex_digits, 16)
-        elif bin_digits is not None:
-            expected = int(bin_digits, 2)
+def _texts(rng):
+    """Every text of up to 2 characters over the alphabet, then 1000 seeded ones of 3 to 12: a
+    prefix or none, then characters of the alphabet, of its binary or of its hex digits."""
+    yield from ("".join(chars) for size in range(3) for chars in product(_ALPHABET, repeat=size))
+    for _ in range(1000):
+        head = rng.choice(("", "0x", "0X", "0b", "0B", " "))
+        size = rng.randint(3, 12) - len(head)
+        yield head + "".join(rng.choices(rng.choice((_ALPHABET, "01", "0123456789abfB")), k=size))
+
+
+def test_parse_accepts_exactly_the_grammar():
+    for text in _texts(random.Random(12)):
+        match = _GRAMMAR.fullmatch(text)
+        if match is None:
+            with pytest.raises(ValueError):
+                parse_natural(text)
         else:
-            expected = int(dec_digits)
-        assert parse_natural(text) == expected
+            hex_digits, bin_digits, dec_digits = match.groups()
+            base = 16 if hex_digits else 2 if bin_digits else 10
+            assert parse_natural(text) == int(hex_digits or bin_digits or dec_digits, base), text

@@ -2,8 +2,6 @@ import random
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from nimtriples import (
     CASE_TABLE,
@@ -16,18 +14,17 @@ from nimtriples import (
     reorder_dominant,
 )
 
-L, A, S = VertexStatus.LARGE, VertexStatus.ALIGNED, VertexStatus.SMALL
+from conftest import WORD_EDGES, of_width
 
-naturals = st.integers(min_value=0)
-wide = st.integers(min_value=1 << 64, max_value=(1 << 160) - 1)
-triples = st.tuples(naturals, naturals, naturals)
+L, A, S = VertexStatus.LARGE, VertexStatus.ALIGNED, VertexStatus.SMALL
 
 
 def _triples(side):
-    """Every triple of entries below ``side``, then 1000 seeded ones of up to 300 bits an entry."""
+    """Every triple of entries below ``side`` and every triple of word edges, then 1000 seeded
+    ones of 1 to 300 bits an entry."""
     rng = random.Random(side)
-    seeded = [tuple(rng.getrandbits(rng.randrange(301)) for _ in range(3)) for _ in range(1000)]
-    return [*product(range(side), repeat=3), *seeded]
+    seeded = [tuple(of_width(rng, rng.randrange(1, 301)) for _ in range(3)) for _ in range(1000)]
+    return [*product(range(side), repeat=3), *product(WORD_EDGES, repeat=3), *seeded]
 
 
 def test_classify_vertex_examples():
@@ -41,17 +38,21 @@ def _compared_statuses(a, b, c):
     return (classify_vertex(a, b, c), classify_vertex(b, a, c), classify_vertex(c, a, b))
 
 
-@given(st.tuples(wide, wide), st.booleans(), wide)
-def test_bit_rule_matches_comparison_definition(pair, flat, c):
-    a, b = pair
-    if flat:
-        c = a ^ b
-    assert classify_triangle(a, b, c).statuses == _compared_statuses(a, b, c)
+def _assert_bit_rule(triples):
+    for a, b, c in triples:
+        for t in ((a, b, c), (a, b, a ^ b)):  # each also flat, with c = a ^ b
+            assert classify_triangle(*t).statuses == _compared_statuses(*t), t
+
+
+def test_bit_rule_matches_comparison_definition():
+    # every triple of word edges, and 200 seeded ones of 65 to 160 bits an entry
+    rng = random.Random(160)
+    wide = [tuple(of_width(rng, rng.randint(65, 160)) for _ in range(3)) for _ in range(200)]
+    _assert_bit_rule([*product(WORD_EDGES, repeat=3), *wide])
 
 
 def test_bit_rule_matches_comparison_definition_exhaustive():
-    for a, b, c in product(range(16), repeat=3):
-        assert classify_triangle(a, b, c).statuses == _compared_statuses(a, b, c)
+    _assert_bit_rule(product(range(16), repeat=3))
 
 
 def test_flat_triangle():
@@ -94,16 +95,15 @@ def test_discriminant_examples():
 
 def _scan_discriminant(a, b, c):
     # literal definition: largest digit position where a disagrees with b XOR c
-    found = None
-    for i in range(max(a.bit_length(), b.bit_length(), c.bit_length())):
+    for i in reversed(range(max(a.bit_length(), b.bit_length(), c.bit_length()))):
         if bit(a, i) != bit(b, i) ^ bit(c, i):
-            found = i
-    return found
+            return i
+    return None
 
 
-@given(triples)
-def test_discriminant_matches_digit_scan(t):
-    assert classify_triangle(*t).discriminant == _scan_discriminant(*t)
+def test_discriminant_matches_digit_scan():
+    for t in _triples(8):
+        assert classify_triangle(*t).discriminant == _scan_discriminant(*t), t
 
 
 def test_case_table_rows_verbatim():

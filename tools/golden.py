@@ -24,11 +24,11 @@ entry keeps its index.  ``tests/test_cli.py`` keeps only what a run in
 process cannot show, and ``tests/test_environment.py`` runs only
 ``_ENVIRONMENT`` again, in child processes, under ``LC_ALL=C``.  The fuzz
 section's argvs come from ``_draw``, which ``tests/test_cli_fuzz.py`` also
-runs through ``record``, with a random that Hypothesis controls in place of
-a seeded one.  CI runs the comparison once more after uninstalling numpy,
-so every argv is also checked without it.  A change that alters the bytes
-on purpose regenerates the file, and the diff of the file is the record of
-what changed.  Standard library only.
+runs through ``record``, with a seed of its own; that test also holds every
+entry of the file to the exit contract.  CI runs the comparison once more
+after uninstalling numpy, so every argv is also checked without it.  A
+change that alters the bytes on purpose regenerates the file, and the diff
+of the file is the record of what changed.  Standard library only.
 """
 
 import argparse
@@ -235,8 +235,7 @@ _EDGES = [
 ]
 
 # The argv generator of the fuzz section, and of tests/test_cli_fuzz.py, which
-# hands it a random that Hypothesis controls and shrinks and runs each argv
-# through record.
+# hands it a random of its own seed and runs each argv through record.
 _FLAGS = ["--json", "--all", "--verify", "--check-closed-form", "-h", "--timing"]
 _TEXT = "abhxyz019-_=., \n\t\x00\xe9€\U0001d7d9"
 
