@@ -1,6 +1,6 @@
-"""What the test modules share: the environment a test runs in, the golden battery,
-the README, and the naturals that more than one module draws, each from a
-``random.Random`` of constant seed, so each run checks the same cases.
+"""What the test modules share: the environment a test runs in, the golden battery, the
+README, ``needs_numpy``, two non-int probes, and the naturals that more than one module
+draws, each from a ``random.Random`` of constant seed, so each run checks the same cases.
 
 ``NIM_TRIPLE_MAX_K`` is removed for every test, so a ``main`` run in process
 caps census and render at their defaults whatever the shell exports; a test
@@ -23,6 +23,27 @@ golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
 
 README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+try:  # only classification_grid needs numpy, and the tests that build one carry needs_numpy
+    import numpy
+except ImportError:
+    numpy = None
+needs_numpy = pytest.mark.skipif(numpy is None, reason="numpy does not import")
+
+
+class Index:
+    """Not an int, but convertible to one through ``__index__``."""
+
+    def __index__(self):
+        return 5
+
+    def __repr__(self):
+        return "Index()"
+
+
+class Int(int):
+    """An int subclass, refused like any other non-int, whose repr is the int's."""
+
 
 # the ends of the 64-bit word and of two of them, where a fixed-width sum would wrap
 WORD_EDGES = (0, *((1 << w) + d for w in (63, 64, 128) for d in (-1, 0, 1)))

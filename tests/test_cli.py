@@ -2,14 +2,13 @@
 
 The battery records each argv's exit code, stdout, stderr and files, run in
 process.  The tests here need more: a child process whose stdout or stderr
-fails or is closed, a check made to fail, traced memory, a file the render
-replaces, and the README's examples.
+fails or is closed, a check made to fail, traced memory, and a file the render
+replaces.
 """
 
 import errno
 import json
 import os
-import shlex
 import stat
 import subprocess
 import sys
@@ -19,7 +18,7 @@ import tracemalloc
 import pytest
 
 import nimtriples
-from conftest import ROOT, child_env
+from conftest import child_env
 from nimtriples.cli import main
 from nimtriples.render import render_pgm
 
@@ -334,32 +333,3 @@ def test_census_check_past_its_cap_exits_3(capsys, monkeypatch):
     assert run(capsys, "census", "11", "--check-closed-form") == (3, "", refused)
     counted = "k=11 flat=4194304 tight=2146435072 loose=6439305216\n"
     assert run(capsys, "census", "11") == (0, counted, "")
-
-
-def _readme_examples():
-    readme = (ROOT / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    examples = []
-    for line in block.splitlines():
-        if line.startswith("$ nimtriples "):
-            examples.append((shlex.split(line, comments=True)[2:], []))
-        else:
-            examples[-1][1].append(line)
-    return examples
-
-
-README_EXAMPLES = _readme_examples()
-
-
-def test_readme_lists_every_command():
-    commands = {argv[0] for argv, _ in README_EXAMPLES}
-    assert commands == {"sum", "classify", "reorder", "mex", "table", "move", "census", "render"}
-
-
-@pytest.mark.parametrize(
-    "argv,expected", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
-)
-def test_readme_example(capsys, monkeypatch, tmp_path, argv, expected):
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, *argv)
-    assert (code, out.splitlines(), err) == (0, expected, "")

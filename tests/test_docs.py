@@ -3,17 +3,22 @@
 A count, a cap or a command that the README copies from elsewhere is read
 from its source here, so the prose cannot drift from it: the battery's
 size, ``tools/golden.py``'s default number of draws, the cap ledger's
-values, the numpy-free test command that CI runs, and the criteria of the
-acceptance block.  Each verdict line of that block is checked against the
-suite's own output by ``report`` in ``tests/test_acceptance.py``.
+values and the commands that reach them, the command-line examples, run
+here, and the criteria of the acceptance block.  Each verdict line of that
+block is checked against the suite's own output by ``report`` in
+``tests/test_acceptance.py``.
 """
 
 import ast
 import json
 import re
+import shlex
+
+import pytest
 
 from conftest import README, ROOT, acceptance_block, golden
 from nimtriples import limits
+from nimtriples.cli import main
 
 
 def _stated(pattern: str) -> int:
@@ -46,25 +51,36 @@ def _ledger_value(text: str) -> int:
     return int(base) ** int(exponent or 1)
 
 
+# the ledger's rows: each cap's name, its value, and its worst accepted input
+LEDGER = re.findall(r"^\| `([A-Z_]+)` \| ([^|]+) \| `([^`]+)` \|", README, re.MULTILINE)
+
+
 def test_cap_ledger_values_are_the_limits():
-    rows = re.findall(r"^\| `([A-Z_]+)` \| ([^|]+) \|", README, re.MULTILINE)
     caps = {n: v for n, v in vars(limits).items() if n.isupper() and type(v) is int}
-    assert [name for name, _ in rows] == list(caps)
-    assert {name: _ledger_value(value) for name, value in rows} == caps
+    assert [name for name, *_ in LEDGER] == list(caps)
+    assert {name: _ledger_value(value) for name, value, _ in LEDGER} == caps
 
 
-def test_numpy_free_command_is_the_ci_step():
-    (block,) = re.findall(r"```sh\n(python -m pytest [^`]*--ignore[^`]*)```", README)
-    workflow = ROOT / ".github" / "workflows" / "tests.yml"
-    lines = workflow.read_text(encoding="utf-8").splitlines()
-    (start,) = [i for i, line in enumerate(lines) if "pytest" in line and "--ignore" in line]
-    indent = len(lines[start]) - len(lines[start].lstrip())
-    step = []  # a folded ">-" scalar: its lines at one indent, joined by spaces
-    for line in lines[start:]:
-        if len(line) - len(line.lstrip()) != indent:
-            break
-        step.append(line)
-    assert block.replace("\\\n", " ").split() == " ".join(step).split()
+# the form of each row's worst accepted input; every group is its cap, but mex's two add up to it
+WORST_INPUTS = {
+    "MEX_ENUMERATION_CAP": r"mex (\d+) (\d+)",
+    "TABLE_MAX_N": r"table (\d+)",
+    "DEFAULT_CENSUS_MAX_K": r"census (\d+) --check-closed-form",
+    "DEFAULT_RENDER_MAX_K": r"render (\d+) \d+ --out \S+",
+    "MAX_K_CEILING": r"NIM_TRIPLE_MAX_K=(\d+) render (\d+) \d+ --out \S+",
+    "CENSUS_CHECK_MAX_K": r"NIM_TRIPLE_MAX_K=(\d+) census (\d+) --check-closed-form",
+    "DECIMAL_DIGITS": r"sum <(\d+) nines> \d+",
+}
+
+
+def test_cap_ledger_commands_reach_their_caps():
+    for name, _, command in LEDGER:
+        match = re.fullmatch(WORST_INPUTS[name], command)
+        assert match, command
+        named = [int(group) for group in match.groups()]
+        if name == "MEX_ENUMERATION_CAP":
+            named = [sum(named)]
+        assert set(named) == {getattr(limits, name)}, command
 
 
 def test_acceptance_block_has_one_line_per_criterion():
@@ -76,3 +92,32 @@ def test_acceptance_block_has_one_line_per_criterion():
     )
     names = [line.removeprefix("acceptance ").partition(":")[0] for line in acceptance_block()]
     assert names == list(dict.fromkeys(name for *_, name in calls))
+
+
+def _readme_examples():
+    block = README.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ nimtriples "):
+            examples.append((shlex.split(line, comments=True)[2:], []))
+        else:
+            examples[-1][1].append(line)
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_lists_every_command():
+    commands = {argv[0] for argv, _ in README_EXAMPLES}
+    assert commands == {"sum", "classify", "reorder", "mex", "table", "move", "census", "render"}
+
+
+@pytest.mark.parametrize(
+    "argv,expected", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+)
+def test_readme_example(capsys, monkeypatch, tmp_path, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out.splitlines(), err) == (0, expected, "")

@@ -27,7 +27,7 @@ import sys
 
 import pytest
 
-from conftest import SRC, child_env
+from conftest import SRC, child_env, needs_numpy
 from nimtriples.cli import main
 
 PACKAGE = SRC / "nimtriples"
@@ -47,6 +47,7 @@ def fresh(code, *args, cwd=None, read=json.loads, flags=()):
     return read(proc.stdout)
 
 
+@needs_numpy
 def test_classification_grid_loads_numpy():
     code = """
 import json, sys
@@ -108,6 +109,7 @@ print(json.dumps([sorted(public), sorted(calls), values, commands, grid_errors, 
 """
 
 
+@needs_numpy
 def test_everything_but_classification_grid_runs_without_numpy(tmp_path):
     blocked, loaded = tmp_path / "blocked", tmp_path / "loaded"
     blocked.mkdir()

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import child_env
+from conftest import Index, Int, child_env, needs_numpy
 from nimtriples import (
     MEX_ENUMERATION_CAP,
     CapExceeded,
@@ -24,6 +24,7 @@ WIDTH_CHECKED = {
     classification_grid: ("render", 0, 12),
     render_pgm: ("render", 0, 12),
 }
+RUN_TO_THE_END = [census, pytest.param(classification_grid, marks=needs_numpy), render_pgm]
 
 
 def _call(call, k, **max_k):
@@ -50,16 +51,7 @@ def _refused(monkeypatch, call, k, error=ValueError, **max_k) -> str:
     return str(exc.value)
 
 
-class _Index:
-    def __index__(self):
-        return 2
-
-
-class _Int(int):
-    pass
-
-
-@pytest.mark.parametrize("k", [2.0, True, False, -1, "2", None, _Index(), _Int(3)])
+@pytest.mark.parametrize("k", [2.0, True, False, -1, "2", None, Index(), Int(3)])
 @pytest.mark.parametrize("call", WIDTH_CHECKED)
 def test_widths_must_be_naturals(monkeypatch, call, k):
     _refused(monkeypatch, call, k)
@@ -67,7 +59,7 @@ def test_widths_must_be_naturals(monkeypatch, call, k):
         _refused(monkeypatch, census_closed_form_check, k)
 
 
-@pytest.mark.parametrize("call", WIDTH_CHECKED)
+@pytest.mark.parametrize("call", RUN_TO_THE_END)
 def test_least_width_is_accepted_and_the_one_below_refused(monkeypatch, call):
     least = WIDTH_CHECKED[call][1]
     _call(call, least)
@@ -83,18 +75,22 @@ def test_default_cap_refuses_the_width_past_it(monkeypatch, call):
     assert message == f"{name} k={cap + 1} exceeds cap {cap}"
 
 
-@pytest.mark.parametrize("call", WIDTH_CHECKED)
+@pytest.mark.parametrize("call", RUN_TO_THE_END)
 def test_max_k_refuses_the_width_past_it(monkeypatch, call):
     assert _call(call, 2, max_k=2) == _call(call, 2, max_k=16)
     message = _refused(monkeypatch, call, 3, CapExceeded, max_k=2)
     assert message == f"{WIDTH_CHECKED[call][0]} k=3 exceeds cap 2"
 
 
-def test_width_checked_calls_read_no_environment(monkeypatch):
-    unset = [_call(call, 1) for call in WIDTH_CHECKED]
+def _assert_environment_ignored(monkeypatch, *calls):
+    unset = [_call(call, 1) for call in calls]
     for raw in ("0", "banana"):
         monkeypatch.setenv("NIM_TRIPLE_MAX_K", raw)
-        assert [_call(call, 1) for call in WIDTH_CHECKED] == unset, raw
+        assert [_call(call, 1) for call in calls] == unset, raw
+
+
+def test_width_checked_calls_read_no_environment(monkeypatch):
+    _assert_environment_ignored(monkeypatch, census, render_pgm)
 
 
 WIDE = (1 << 16000) - 1  # 16000 bits: too long for the interpreter to print in decimal
@@ -113,11 +109,16 @@ def test_max_k_outside_the_ceiling_is_refused_before_any_work(monkeypatch, call,
 
 def test_max_k_range_ends_are_accepted():
     assert census(3, max_k=16).k == 3
-    assert classification_grid(3, 5, max_k=16).shape == (8, 8)
     assert render_pgm(0, 0, max_k=0) == b"P5\n1 1\n255\n\xff"
-    assert classification_grid(0, 0, max_k=0).shape == (1, 1)
     with pytest.raises(CapExceeded, match=r"^census k=1 exceeds cap 0$"):
         census(1, max_k=0)
+
+
+@needs_numpy
+def test_classification_grid_takes_its_cap_from_max_k_alone(monkeypatch):
+    assert classification_grid(3, 5, max_k=16).shape == (8, 8)
+    assert classification_grid(0, 0, max_k=0).shape == (1, 1)
+    _assert_environment_ignored(monkeypatch, classification_grid)
 
 
 # "+7", "1_0" and an Arabic-Indic seven are outside parse_natural's grammar, though int() takes them
@@ -199,10 +200,14 @@ def test_render_at_its_default_cap_holds_little_beside_its_output(c):
         assert _traced_peak(render_pgm, k, c) < 1.125 * 4**k
     else:
         # every cell loose: the output is one fill, with no rows and no second copy beside it
-        import numpy  # loaded before tracing starts, so its import is not traced
+        assert _traced_peak(render_pgm, k, c) < 1.005 * 4**k
 
-        for call in (render_pgm, classification_grid):
-            assert _traced_peak(call, k, c) < 1.005 * 4**k, call.__name__
+
+@needs_numpy  # and conftest has loaded numpy, so tracing sees no import
+@pytest.mark.parametrize("c", [1 << DEFAULT_RENDER_MAX_K, 1 << 70])
+def test_all_loose_grid_at_its_default_cap_is_one_fill(c):
+    k = DEFAULT_RENDER_MAX_K
+    assert _traced_peak(classification_grid, k, c) < 1.005 * 4**k
 
 
 _TABLE_RSS = """

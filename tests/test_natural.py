@@ -6,7 +6,7 @@ import pytest
 
 from nimtriples import bit, census, nim_sum, parse_natural, require_natural
 
-from conftest import WORD_EDGES, of_width
+from conftest import WORD_EDGES, Index, Int, of_width
 
 
 def test_parse_decimal():
@@ -73,27 +73,13 @@ def test_nim_sum_rejects_negatives():
         nim_sum(3, -1)
 
 
-class _Index:
-    """Not an int, but convertible to one through ``__index__``."""
-
-    def __index__(self):
-        return 5
-
-    def __repr__(self):
-        return "_Index()"
-
-
-class _Int(int):
-    """An int subclass, refused like any other non-int, whose repr is the int's."""
-
-
 def test_require_natural_rejects_non_integers():
     with pytest.raises(ValueError):
         require_natural(1.5)
     with pytest.raises(ValueError):
         require_natural("3")
     # only int itself: integers of other types are refused, not converted
-    for value in (_Index(), _Int(5)):
+    for value in (Index(), Int(5)):
         with pytest.raises(ValueError, match=rf"^not an integer: {re.escape(repr(value))}$"):
             require_natural(value)
     assert require_natural(0) == 0
@@ -120,8 +106,8 @@ WIDE_NEGATIVE = -(1 << 16000)  # too long for the interpreter to print in decima
         (lambda: nim_sum(-5, 0), "not a natural number: -5"),
         (lambda: require_natural(-(1 << 64) + 1), f"not a natural number: {-(1 << 64) + 1}"),
         (lambda: require_natural("7"), "not an integer: '7'"),
-        (lambda: require_natural(_Int(1 << 16000)), "not an integer: <16001-bit number>"),
-        (lambda: require_natural(_Int(5)), "not an integer: 5"),
+        (lambda: require_natural(Int(1 << 16000)), "not an integer: <16001-bit number>"),
+        (lambda: require_natural(Int(5)), "not an integer: 5"),
     ],
     ids=[
         "nim_sum-wide", "census-wide", "census-long-str", "require-long-list",
