@@ -9,13 +9,14 @@ convert up to ``limits.DECIMAL_DIGITS`` digits whatever the interpreter's
 own limit, and the CLI writes only ASCII of its own.
 ``--json`` emits the same fields as the text, as one JSON object.
 Exit codes: 0 success, 1 failed verification or write error, 2 usage error,
-3 cap exceeded: an enumeration cap, or an integer too long to print in decimal.
+3 cap exceeded: an enumeration cap, or an integer too long to print in decimal;
+130 interrupted, and 143 a render terminated while it writes its file.
 Each command returns its payload, text and exit code; ``main`` parses,
 computes, formats and writes, and returns every exit code.  A run ends
 early only in a ``_Stop(code, text)``, or in a library refusal that ``main``
-reads as one: a cap (3) or a bad value (2).  ``main`` writes every early end
-in one place, help on stdout and the rest on stderr.  A stderr that fails
-changes no exit code.
+reads as one: a cap (3) or a bad value (2), or in a KeyboardInterrupt (130).
+``main`` writes every early end in one place, help on stdout and the rest on
+stderr.  A stderr that fails changes no exit code.
 """
 
 import errno
@@ -71,7 +72,12 @@ _Result = tuple[dict, Callable[[], str], int]
 
 
 class _Stop(Exception):
-    """The run ends early with ``(exit code, text)``: help (0), a failed write (1), misuse (2)."""
+    """The run ends early with ``(exit code, text)``: help (0), a failed write (1), misuse (2),
+    or a SIGTERM while render writes (143)."""
+
+
+def _terminated(signum, frame):
+    raise _Stop(143, "")
 
 
 def _max_k() -> int | None:
@@ -207,16 +213,30 @@ def _write_replacing(path: str, chunks: list[bytes]) -> None:
 
 
 def _run_render(args: SimpleNamespace) -> _Result:
+    import signal  # only render leaves a file behind when SIGTERM ends the process
+
     from .render import _pgm_chunks
 
     # written piece by piece: joined, a k=12 PGM would be one more 16 MiB object
     chunks = _pgm_chunks(args.k, args.c, _max_k())
+    # the default SIGTERM ends the process where it stands, so no cleanup runs; raised as a
+    # _Stop instead, it lets _write_replacing remove its scratch file.  A handler the caller
+    # set stays, and only the main thread can set one.
+    ours = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+    if ours:
+        try:
+            signal.signal(signal.SIGTERM, _terminated)
+        except ValueError:  # not the main thread
+            ours = False
     try:
         _write_replacing(args.out, chunks)
     except OSError as exc:
         # strerror alone, as the OSError may name the pid's temporary file; a name too long is cut
         out = _token(args.out, str) if exc.errno == errno.ENAMETOOLONG else args.out
         raise _Stop(1, f"error: cannot write {out}: {exc.strerror}\n") from None
+    finally:
+        if ours:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
     n = 1 << args.k
     payload = {"out": args.out, "width": n, "height": n}
     return payload, lambda: f"out={args.out} width={n} height={n}", 0
@@ -398,6 +418,8 @@ def main(argv: list[str] | None = None) -> int:
                 code, text = 3, f"error: {exc}\n"
             except ValueError as exc:
                 code, text = 2, f"error: {exc}\n"
+            except KeyboardInterrupt:  # as a shell reads SIGINT, 128 + 2, and with no line
+                code, text = 130, ""
             if code == 0 and sys.stdout is not None:  # help, to stderr with fd 1 closed
                 sys.stdout.write(text)
             else:

@@ -2,8 +2,8 @@
 
 The battery records each argv's exit code, stdout, stderr and files, run in
 process.  The tests here need more: a child process whose stdout or stderr
-fails or is closed, a check made to fail, traced memory, and a file the render
-replaces.
+fails or is closed, a check made to fail, traced memory, a file the render
+replaces, and a render interrupted part way.
 """
 
 import errno
@@ -12,6 +12,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -19,6 +20,7 @@ import pytest
 
 import nimtriples
 from conftest import child_env
+from nimtriples import render
 from nimtriples.cli import main
 from nimtriples.render import render_pgm
 
@@ -80,6 +82,73 @@ def test_render_failed_write_leaves_existing_file_untouched(tmp_path):
     assert "Traceback" not in proc.stderr
     assert target.read_bytes() == b"previous render"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_interrupt_exits_130_and_leaves_no_file(capsys, monkeypatch, tmp_path):
+    # Ctrl-C between two pieces: no line, the scratch file goes, the target stays as it was
+    def pieces(*args):
+        yield b"P5\n"
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(render, "_pgm_chunks", pieces)
+    target = tmp_path / "grid.pgm"
+    target.write_bytes(b"previous render")
+    assert run(capsys, "render", "2", "5", "--out", str(target)) == (130, "", "")
+    assert target.read_bytes() == b"previous render"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+# A render whose pieces send the process SIGTERM after the first, so nothing depends on timing,
+# under the SIGTERM handler of argv[1]; last, the handler in place once main has returned.
+_TERMINATED_WRITE = """
+import signal, sys
+from nimtriples import render
+from nimtriples.cli import main
+def pieces(*args):
+    header, *rest = real(*args)
+    yield header
+    signal.raise_signal(signal.SIGTERM)
+    yield from rest
+real, render._pgm_chunks = render._pgm_chunks, pieces
+signal.signal(signal.SIGTERM, getattr(signal, sys.argv[1]))
+code = main(sys.argv[2:])
+print(signal.getsignal(signal.SIGTERM).name)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("handler", ["SIG_DFL", "SIG_IGN"])
+def test_sigterm_mid_render_exits_143_where_nothing_else_handles_it(tmp_path, handler):
+    target = tmp_path / "grid.pgm"
+    target.write_bytes(b"previous render")
+    argv = [handler, "render", "6", "5", "--out", str(target)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TERMINATED_WRITE, *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    if handler == "SIG_DFL":  # no scratch file left, and the target as it was
+        assert (proc.returncode, proc.stdout, proc.stderr) == (143, "SIG_DFL\n", "")
+        assert target.read_bytes() == b"previous render"
+    else:  # a handler the caller set is left in place, and here ignores the signal
+        out = f"out={target} width=64 height=64\nSIG_IGN\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+        assert target.read_bytes() == render_pgm(6, 5)
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_render_in_another_thread_writes_without_a_handler(capsys, tmp_path):
+    # only the main thread can set a signal handler, so another thread's render sets none
+    target = tmp_path / "grid.pgm"
+    codes = []
+    argv = ["render", "2", "5", "--out", str(target)]
+    thread = threading.Thread(target=lambda: codes.append(main(argv)))
+    thread.start()
+    thread.join()
+    assert (codes, capsys.readouterr().err) == ([0], "")
+    assert target.read_bytes() == render_pgm(2, 5)
 
 
 def _child(*argv, stdout, stderr=subprocess.PIPE, unbuffered=False, preexec_fn=None, cwd=None):

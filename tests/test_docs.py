@@ -2,11 +2,11 @@
 
 A count, a cap or a command that the README copies from elsewhere is read
 from its source here, so the prose cannot drift from it: the battery's
-size, ``tools/golden.py``'s default number of draws, the cap ledger's
-values and the commands that reach them, the command-line examples, run
-here, and the criteria of the acceptance block.  Each verdict line of that
-block is checked against the suite's own output by ``report`` in
-``tests/test_acceptance.py``.
+size and its corner draws, the number of argvs ``tools/golden.py --against``
+replays, the cap ledger's values and the commands that reach them, the
+command-line examples, run here, and the criteria of the acceptance block.
+Each verdict line of that block is checked against the suite's own output by
+``report`` in ``tests/test_acceptance.py``.
 """
 
 import ast
@@ -32,17 +32,12 @@ def test_battery_count_is_the_battery_size():
     assert _stated(r"`tests/golden_cli\.json` records every byte of (\d+) argvs") == len(battery)
 
 
+def test_corner_count_is_the_corner_draws():
+    assert _stated(r"among them (\d+)\s+drawn from those corners") == golden.CORNER_DRAWS
+
+
 def test_seeded_argv_count_is_the_draws_default():
-    tree = ast.parse((ROOT / "tools" / "golden.py").read_text(encoding="utf-8"))
-    (default,) = [
-        keyword.value.value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
-        if [arg.value for arg in node.args] == ["--draws"]
-        for keyword in node.keywords
-        if keyword.arg == "default"
-    ]
-    assert _stated(r"replays (\d+) seeded argvs") == default
+    assert _stated(r"replays (\d+) seeded argvs") == golden.AGAINST_DRAWS
 
 
 def _ledger_value(text: str) -> int:

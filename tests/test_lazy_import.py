@@ -2,17 +2,21 @@
 
 Without numpy, which the ``grid`` extra installs, everything else still runs.
 
-The kernel builds grids in plain bytes, so no command loads numpy: the one
-import of numpy anywhere in the package, function bodies included, is in
-classification_grid, and a child with numpy blocked runs every other public
-function and all eight commands.  The package resolves every public name on
-first use, so its import loads no submodule, a command loads only the
-submodules it runs, and ``json`` only under ``--json``.  No module imports
-``typing`` or ``__future__``.  One child per command, on a bare interpreter,
-checks both what the command adds and that nothing in the process loads
-``typing``, ``__future__``, ``dataclasses``, ``contextlib``, ``argparse``,
-``gettext``, ``locale`` or ``textwrap``: the command line reads its argv
-itself.
+The kernel builds grids in plain bytes, so no command loads numpy: an ``ast``
+walk finds the one import of numpy anywhere in the package, function bodies
+included and ``__import__`` and ``importlib.import_module`` of a constant name
+counted, in classification_grid.  What no walk can see runs in a child with
+numpy blocked: that call refuses, naming the extra, before it builds the grid.
+The same walk finds the one read of the environment, in ``cli._max_k``, and
+the only calls of it, by census and render.
+
+The package resolves every public name on first use, so its import loads no
+submodule, a command loads only the submodules it runs, ``json`` only under
+``--json`` and ``signal`` only for ``render``.  No module imports ``typing``
+or ``__future__``.  One child per command, on a bare interpreter, checks both
+what the command adds and that nothing in the process loads ``typing``,
+``__future__``, ``dataclasses``, ``contextlib``, ``argparse``, ``gettext``,
+``locale`` or ``textwrap``: the command line reads its argv itself.
 
 Each check runs in a fresh interpreter, because the test process may have
 loaded any of these long before.  Nothing here asserts a timing.  The bytes
@@ -27,7 +31,7 @@ import sys
 
 import pytest
 
-from conftest import SRC, child_env, needs_numpy
+from conftest import SRC, child_env
 from nimtriples.cli import main
 
 PACKAGE = SRC / "nimtriples"
@@ -47,88 +51,34 @@ def fresh(code, *args, cwd=None, read=json.loads, flags=()):
     return read(proc.stdout)
 
 
-@needs_numpy
-def test_classification_grid_loads_numpy():
-    code = """
-import json, sys
+# With numpy blocked, each grid call's message and the peak memory traced during it.
+_REFUSED_GRIDS = """
+import json, sys, tracemalloc
+sys.modules["numpy"] = None
 from nimtriples import classification_grid
-before = "numpy" in sys.modules
-grid = classification_grid(3, 5)
-print(json.dumps([before, "numpy" in sys.modules, type(grid).__name__, grid.shape]))
-"""
-    assert fresh(code) == [False, True, "ndarray", [8, 8]]
-
-
-# Every public function and all eight commands, run in a child that may
-# block numpy; it prints what it called, what they gave, and the grid errors
-# with the peak memory traced during each grid call.
-_PUBLIC_CALLS = """
-import contextlib, io, json, sys, tracemalloc, types
-import nimtriples as nt
-from nimtriples.cli import main
-calls = dict(
-    advise_move=lambda: nt.advise_move([5, 1, 2]),
-    bit=lambda: nt.bit(5, 2),
-    case_table_lookup=lambda: nt.case_table_lookup(1, 0, 0),
-    census=lambda: nt.census(3),
-    census_closed_form_check=lambda: nt.census_closed_form_check(3),
-    classify_triangle=lambda: nt.classify_triangle(5, 1, 2),
-    classify_vertex=lambda: nt.classify_vertex(5, 1, 2),
-    exclusion_set=lambda: sorted(nt.exclusion_set(2, 3)),
-    greedy_minimal_table=lambda: nt.greedy_minimal_table(4),
-    mex_oracle=lambda: nt.mex_oracle(2, 3),
-    nim_sum=lambda: nt.nim_sum(5, 3),
-    parse_natural=lambda: nt.parse_natural("0x1f"),
-    render_pgm=lambda: nt.render_pgm(2, 5),
-    reorder_dominant=lambda: nt.reorder_dominant(1, 2, 7),
-    require_natural=lambda: nt.require_natural(7),
-    table_to_text=lambda: nt.table_to_text([[0, 1], [1, 0]]),
-    verify_table_equals_xor=lambda: nt.verify_table_equals_xor([[0, 1], [1, 0]]),
-    winning_moves=lambda: nt.winning_moves([2, 2, 3]),
-)
-public = [n for n in nt.__all__ if isinstance(getattr(nt, n), types.FunctionType)]
-values = {name: repr(call()) for name, call in calls.items()}
-commands = []
-for argv in (["sum", "5", "3"], ["classify", "5", "1", "2"], ["reorder", "1", "2", "7"],
-             ["mex", "2", "3"], ["table", "4", "--verify"], ["move", "2", "2", "3", "--all"],
-             ["census", "3", "--check-closed-form"], ["render", "3", "5", "--out", "r.pgm"]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        commands.append([main(argv), out.getvalue()])
-grid_errors, grid_peaks = [], []
+refusals = []
 for k, c in ((3, 5), (12, 0)):
     tracemalloc.start()
     try:
-        nt.classification_grid(k, c)
-        grid_errors.append(None)
+        classification_grid(k, c)
     except ImportError as exc:
-        grid_errors.append(str(exc))
-    grid_peaks.append(tracemalloc.get_traced_memory()[1])
+        refusals.append([str(exc), tracemalloc.get_traced_memory()[1]])
     tracemalloc.stop()
-print(json.dumps([sorted(public), sorted(calls), values, commands, grid_errors, grid_peaks]))
+print(json.dumps(refusals))
 """
 
 
-@needs_numpy
-def test_everything_but_classification_grid_runs_without_numpy(tmp_path):
-    blocked, loaded = tmp_path / "blocked", tmp_path / "loaded"
-    blocked.mkdir()
-    loaded.mkdir()
-    public, called, values, commands, grid_errors, grid_peaks = fresh(
-        'import sys; sys.modules["numpy"] = None' + _PUBLIC_CALLS, cwd=blocked
-    )
-    assert sorted(set(public) - {"classification_grid"}) == called
-    assert [code for code, _ in commands] == [0] * 8
-    assert all("nimtriples[grid]" in error for error in grid_errors)
-    # the k=12 grid is 16 MiB once joined; without numpy it never is
-    assert grid_peaks[1] < 16 << 20
-    with_numpy = fresh(_PUBLIC_CALLS, cwd=loaded)
-    assert with_numpy[2:5] == [values, commands, [None, None]]
-    assert (blocked / "r.pgm").read_bytes() == (loaded / "r.pgm").read_bytes()
+def test_classification_grid_without_numpy_refuses_before_it_builds():
+    # what test_only_classification_grid_imports_numpy cannot see: the refusal names the
+    # extra, and it comes before the k=12 grid, 16 MiB once joined, is built
+    refusals = fresh(_REFUSED_GRIDS)
+    message = "classification_grid needs numpy: install 'nimtriples[grid]'"
+    assert [text for text, _ in refusals] == [message, message]
+    assert all(peak < 1 << 20 for _, peak in refusals)
 
 
 # The modules that only some commands load.
-_OPTIONAL = {"json"} | {
+_OPTIONAL = {"json", "signal"} | {
     f"nimtriples.{name}" for name in ("triangles", "advisor", "mex", "render", "_kernel", "_census")
 }
 
@@ -179,9 +129,11 @@ def test_command_loads_only_its_own_modules(tmp_path, capsys, monkeypatch, argv,
     added, code, out, watched = fresh(
         _MODULES_CHILD, *argv, cwd=tmp_path, read=ast.literal_eval, flags=["-S"]
     )
-    # json loads only to format a result, and a capped run (exit 3) formats none
+    # json loads only to format a result, and a capped run (exit 3) formats none; signal
+    # loads only for render, which handles SIGTERM while it writes
     formats = {"json"} if as_json and code == 0 else set()
-    expected = {f"nimtriples.{name}" for name in loads} | formats
+    handles = {"signal"} if "render" in argv else set()
+    expected = {f"nimtriples.{name}" for name in loads} | formats | handles
     assert set(added) & _OPTIONAL == expected
     assert watched == []
     # the same bytes as a run in this process, where every module is loaded
@@ -309,11 +261,18 @@ def _package_places(found):
 
 
 def _loads_numpy(node):
+    """Whether ``node`` imports numpy: by a statement, or by a call of ``__import__`` or
+    ``importlib.import_module`` with a constant name."""
     if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
-    if isinstance(node, ast.ImportFrom) and node.level == 0:
-        return node.module.split(".")[0] == "numpy"
-    return False
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+        called = getattr(node.func, "id", getattr(node.func, "attr", None))
+        names = [node.args[0].value] if called in {"__import__", "import_module"} else []
+    else:
+        names = []
+    return any(str(name).split(".")[0] == "numpy" for name in names)
 
 
 def _for_annotations_only(node):
@@ -345,6 +304,16 @@ def _reads_environment(node):
     return isinstance(node, ast.Attribute) and node.attr in _ENVIRON
 
 
+def _names_max_k(node):
+    """Whether ``node`` names ``_max_k``, as a name, an attribute or an import."""
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "_max_k" for alias in node.names)
+    return getattr(node, "id", getattr(node, "attr", None)) == "_max_k"
+
+
 def test_only_the_command_line_reads_the_environment():
-    # the library's only inputs are its arguments; the CLI reads NIM_TRIPLE_MAX_K in one helper
+    # the library's only inputs are its arguments; the CLI reads NIM_TRIPLE_MAX_K in one helper,
+    # and naming that helper is the one way a library call could reach it: only census and
+    # render call it
     assert _package_places(_reads_environment) == ["cli._max_k"]
+    assert _package_places(_names_max_k) == ["cli._run_census", "cli._run_render"]

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -82,17 +83,6 @@ def test_max_k_refuses_the_width_past_it(monkeypatch, call):
     assert message == f"{WIDTH_CHECKED[call][0]} k=3 exceeds cap 2"
 
 
-def _assert_environment_ignored(monkeypatch, *calls):
-    unset = [_call(call, 1) for call in calls]
-    for raw in ("0", "banana"):
-        monkeypatch.setenv("NIM_TRIPLE_MAX_K", raw)
-        assert [_call(call, 1) for call in calls] == unset, raw
-
-
-def test_width_checked_calls_read_no_environment(monkeypatch):
-    _assert_environment_ignored(monkeypatch, census, render_pgm)
-
-
 WIDE = (1 << 16000) - 1  # 16000 bits: too long for the interpreter to print in decimal
 LONG_RAW = "9" * 5000
 
@@ -115,10 +105,9 @@ def test_max_k_range_ends_are_accepted():
 
 
 @needs_numpy
-def test_classification_grid_takes_its_cap_from_max_k_alone(monkeypatch):
+def test_classification_grid_takes_its_cap_from_max_k_alone():
     assert classification_grid(3, 5, max_k=16).shape == (8, 8)
     assert classification_grid(0, 0, max_k=0).shape == (1, 1)
-    _assert_environment_ignored(monkeypatch, classification_grid)
 
 
 # "+7", "1_0" and an Arabic-Indic seven are outside parse_natural's grammar, though int() takes them
@@ -131,11 +120,19 @@ def test_classification_grid_takes_its_cap_from_max_k_alone(monkeypatch):
     "argv", [["census", "1"], ["render", "0", "0", "--out", "x.pgm"]], ids=["census", "render"]
 )
 def test_environment_cap_keeps_its_message(monkeypatch, capsys, tmp_path, argv, raw):
-    monkeypatch.setenv("NIM_TRIPLE_MAX_K", raw)
+    try:
+        os.fsencode(raw)
+    except UnicodeEncodeError:
+        # a locale such as C cannot encode the Arabic-Indic seven, but the environment holds
+        # any bytes: a shell passes its UTF-8 on, and os.environ decodes them as it can
+        monkeypatch.setitem(os.environb, b"NIM_TRIPLE_MAX_K", raw.encode("utf-8"))
+    else:
+        monkeypatch.setenv("NIM_TRIPLE_MAX_K", raw)
     monkeypatch.chdir(tmp_path)
     _block_kernel(monkeypatch)
     assert main(argv) == 2
-    got = "'99999999999999999999'...(5000 chars)" if raw is LONG_RAW else repr(raw)
+    held = os.environ["NIM_TRIPLE_MAX_K"]
+    got = "'99999999999999999999'...(5000 chars)" if raw is LONG_RAW else repr(held)
     refused = f"error: NIM_TRIPLE_MAX_K must be an integer in 0..16, got {got}\n"
     assert capsys.readouterr() == ("", refused)
     assert list(tmp_path.iterdir()) == []

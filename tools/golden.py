@@ -9,12 +9,13 @@ file stays small; the argvs themselves come from ``battery()``.
 
     python tools/golden.py          # compare the checkout's CLI with tests/golden_cli.json
     python tools/golden.py --write  # regenerate tests/golden_cli.json
-    python tools/golden.py --against TREE [--draws N]  # this checkout's CLI against TREE's
+    python tools/golden.py --against TREE  # this checkout's CLI against TREE's
 
-``--against`` replays N seeded argvs, half each from ``_draw`` and
-``_wide_corner``, through this checkout's ``main`` and through the one in
-the checkout at TREE, each in a child process of its own since both packages
-are named ``nimtriples``, and prints every argv whose entry differs.
+``--against`` replays ``AGAINST_DRAWS`` seeded argvs, half each from
+``_draw`` and ``_wide_corner``, through this checkout's ``main`` and through
+the one in the checkout at TREE, each in a child process of its own since
+both packages are named ``nimtriples``, and prints every argv whose entry
+differs.
 
 ``tests/test_golden_cli.py`` makes the same comparison entry by entry, once
 as the shell leaves it and once under each of two terminal widths and
@@ -52,6 +53,7 @@ FUZZ_DRAWS = 400
 CORNER_SEED = 21
 CORNER_DRAWS = 150
 AGAINST_SEED = 26
+AGAINST_DRAWS = 18000
 
 # the operands each command takes; move takes any number from one up
 _ARITY = dict(sum=2, classify=3, reorder=3, mex=2, table=1, move=3, census=1, render=2)
@@ -313,10 +315,10 @@ def _wide_corner(rng):
     return tokens
 
 
-def draws(count: int) -> list[tuple[list[str], str | None]]:
-    """``count`` seeded (argv, NIM_TRIPLE_MAX_K) for --against, from each generator in turn."""
+def draws() -> list[tuple[list[str], str | None]]:
+    """The seeded (argv, NIM_TRIPLE_MAX_K) of --against, from each generator in turn."""
     rng, kinds = random.Random(AGAINST_SEED), [(_draw, "4"), (_wide_corner, None)]
-    return [(draw(rng), max_k) for i in range(count) for draw, max_k in [kinds[i % 2]]]
+    return [(draw(rng), max_k) for i in range(AGAINST_DRAWS) for draw, max_k in [kinds[i % 2]]]
 
 
 def battery() -> list[tuple[list[str], str | None]]:
@@ -380,10 +382,10 @@ def record(argv: list[str], max_k: str | None, workdir: str) -> dict:
     }
 
 
-def _replay(tree: str, count: int) -> list[dict]:
-    """The entries of ``draws(count)`` as the checkout at ``tree`` writes them, run in a child."""
+def _replay(tree: str) -> list[dict]:
+    """The entries of ``draws()`` as the checkout at ``tree`` writes them, run in a child."""
     src = str(Path(tree).resolve() / "src")
-    child = [sys.executable, __file__, "--replay", src, "--draws", str(count)]
+    child = [sys.executable, __file__, "--replay", src]
     return json.loads(subprocess.run(child, stdout=subprocess.PIPE, check=True).stdout)
 
 
@@ -391,22 +393,21 @@ def main() -> int:
     parser = argparse.ArgumentParser(description="Compare the CLI with its golden battery.")
     parser.add_argument("--write", action="store_true", help=f"regenerate {GOLDEN.name}")
     parser.add_argument("--against", metavar="TREE", help="compare with TREE's CLI on seeded argvs")
-    parser.add_argument("--draws", type=int, default=18000, help="argvs for --against")
     parser.add_argument("--replay", metavar="SRC", help=argparse.SUPPRESS)  # --against's child
     args = parser.parse_args()
     if args.replay:
         sys.path.insert(0, args.replay)
         with tempfile.TemporaryDirectory() as workdir:
-            entries = [record(argv, max_k, workdir) for argv, max_k in draws(args.draws)]
+            entries = [record(argv, max_k, workdir) for argv, max_k in draws()]
         json.dump(entries, sys.stdout)
         return 0
     if args.against:
-        here, there = _replay(str(ROOT), args.draws), _replay(args.against, args.draws)
+        here, there = _replay(str(ROOT)), _replay(args.against)
         changed = [(mine, theirs) for mine, theirs in zip(here, there) if mine != theirs]
         for mine, theirs in changed:
             print(f"differs: {mine['argv']!r}\n  here:  {mine!r}\n  there: {theirs!r}")
         print(f"{len(changed)} of {len(here)} argvs differ from {args.against}")
-        return int(bool(changed) or len(here) != args.draws)
+        return int(bool(changed) or len(here) != AGAINST_DRAWS)
     with tempfile.TemporaryDirectory() as workdir:
         entries = [record(argv, max_k, workdir) for argv, max_k in battery()]
     if args.write:
