@@ -2,8 +2,7 @@
 
 from collections import namedtuple
 
-from .limits import CENSUS_CHECK_MAX_K, CapExceeded, checked_width
-from .natural import require_natural, shown
+from .limits import CENSUS_CHECK_MAX_K, checked
 
 __all__ = ["CensusReport", "census", "census_closed_form_check"]
 
@@ -37,7 +36,7 @@ def census(k: int, *, max_k: int | None = None) -> CensusReport:
     ``k`` is held to the census cap all the same; ``census_closed_form_check``
     compares these tallies with an exhaustive sweep.
     """
-    k = checked_width("census", k, max_k)
+    k = checked("census", k, max_k)
     flat, tight = 4**k, 4 ** (k - 1) * (2**k - 1)
     return CensusReport(k, flat, tight, 8**k - flat - tight)
 
@@ -51,7 +50,5 @@ def census_closed_form_check(k: int) -> bool:
     """
     from ._kernel import count  # only the check sweeps, so only the check loads the kernel
 
-    k = require_natural(k)
-    if k > CENSUS_CHECK_MAX_K:
-        raise CapExceeded(f"census check k={shown(k)} exceeds cap {CENSUS_CHECK_MAX_K}")
+    k = checked("census check", k)
     return census(k, max_k=CENSUS_CHECK_MAX_K).counts == count(k)

@@ -1,4 +1,4 @@
-"""Enumeration caps of every operation, and the one check of a bit width against its cap."""
+"""The caps, and one check of every capped natural: census, render and check widths, table size."""
 
 from .natural import _echo, require_natural, shown
 
@@ -33,26 +33,31 @@ class CapExceeded(Exception):
     """An enumeration-bounded operation was asked to exceed its cap."""
 
 
-# The least bit width and the default cap of each width-checked operation.
-_WIDTHS = {"census": (1, DEFAULT_CENSUS_MAX_K), "render": (0, DEFAULT_RENDER_MAX_K)}
+# By its cap message's name: the operand's name there, wording below the least, least, default cap.
+_CAPS = {
+    "census": ("k", "bit width", 1, DEFAULT_CENSUS_MAX_K),
+    "render": ("k", "bit width", 0, DEFAULT_RENDER_MAX_K),
+    "census check": ("k", "bit width", 1, CENSUS_CHECK_MAX_K),
+    "table": ("n", "table size", 1, TABLE_MAX_N),
+}
 
 
-def checked_width(what: str, k: int, max_k: int | None) -> int:
-    """``k`` as a natural bit width from the least width up to the cap of ``what``.
+def checked(what: str, value: int, max_k: int | None = None) -> int:
+    """``value`` as a natural from the least value up to the cap of ``what``.
 
-    ``what`` is ``"census"`` or ``"render"``.  The cap is ``max_k`` when given,
-    else the default of ``what``.  Raises ValueError for a ``max_k`` that is
-    not a natural up to MAX_K_CEILING, for a non-natural ``k`` or one below
-    the least width, and CapExceeded for one above the cap.
+    ``what`` is a key of _CAPS.  The cap is ``max_k`` when given, else the
+    default of ``what``.  Raises ValueError for a ``max_k`` that is not a
+    natural up to MAX_K_CEILING, for a non-natural ``value`` or one below
+    the least, and CapExceeded for one above the cap.
     """
-    least, default = _WIDTHS[what]
+    name, wording, least, default = _CAPS[what]
     if max_k is None:
         max_k = default
     elif type(max_k) is not int or not 0 <= max_k <= MAX_K_CEILING:
         raise ValueError(f"max_k must be an integer in 0..{MAX_K_CEILING}, got {_echo(max_k)}")
-    k = require_natural(k)
-    if k < least:
-        raise ValueError(f"bit width must be >= {least}, got {k}")
-    if k > max_k:
-        raise CapExceeded(f"{what} k={shown(k)} exceeds cap {max_k}")
-    return k
+    value = require_natural(value)
+    if value < least:
+        raise ValueError(f"{wording} must be >= {least}, got {value}")
+    if value > max_k:
+        raise CapExceeded(f"{what} {name}={shown(value)} exceeds cap {max_k}")
+    return value

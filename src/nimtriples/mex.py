@@ -18,7 +18,7 @@ are built by swapping aligned blocks of earlier rows, never by a XOR per
 cell, and table_to_text converts each distinct value to decimal once.
 """
 
-from .limits import MEX_ENUMERATION_CAP, TABLE_MAX_N, CapExceeded
+from .limits import MEX_ENUMERATION_CAP, CapExceeded, checked
 from .natural import require_natural, shown
 
 __all__ = [
@@ -132,11 +132,7 @@ def greedy_minimal_table(n: int) -> list[list[int]]:
     cells of memory and about half as many cells of time, so n above
     TABLE_MAX_N raises CapExceeded before anything is allocated.
     """
-    n = require_natural(n)
-    if n < 1:
-        raise ValueError(f"table size must be >= 1, got {n}")
-    if n > TABLE_MAX_N:
-        raise CapExceeded(f"table n={shown(n)} exceeds cap {TABLE_MAX_N}")
+    n = checked("table", n)
     values = list(range(2 * n - 1))
     bits = [1 << value for value in values]
     col_used = [0] * n

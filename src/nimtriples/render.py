@@ -6,7 +6,7 @@ PGM, so renders are byte-identical across runs and platforms.
 """
 
 from . import _kernel
-from .limits import checked_width
+from .limits import checked
 from .natural import require_natural
 from .triangles import TriangleClass
 
@@ -22,7 +22,7 @@ _LOOSE = bytes([GRAY_LEVELS[TriangleClass.LOOSE]])
 
 def _checked(k: int, fixed_c: int, max_k: int | None) -> tuple[int, int]:
     """k and fixed_c once they pass their checks, before anything is allocated."""
-    return checked_width("render", k, max_k), require_natural(fixed_c)
+    return checked("render", k, max_k), require_natural(fixed_c)
 
 
 def _pieces(k: int, fixed_c: int) -> list[bytes]:

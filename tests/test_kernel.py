@@ -40,7 +40,7 @@ def test_grid_matches_classify_for_every_small_and_wide_c(k):
 
 @needs_numpy
 @pytest.mark.parametrize("k", [8, 9])
-def test_grid_at_dtype_edges(k):
+def test_full_grid_matches_classify_and_wide_c_is_all_loose(k):
     n = 1 << k
     grid = classification_grid(k, n - 1, max_k=k)
     for a, b in product(range(n), repeat=2):

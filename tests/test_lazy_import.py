@@ -8,7 +8,9 @@ included and ``__import__`` and ``importlib.import_module`` of a constant name
 counted, in classification_grid.  What no walk can see runs in a child with
 numpy blocked: that call refuses, naming the extra, before it builds the grid.
 The same walk finds the one read of the environment, in ``cli._max_k``, and
-the only calls of it, by census and render.
+the only calls of it, by census and render, and the only places that build a
+``CapExceeded``: the one check of every capped natural, the mex sum cap and
+the CLI's decimal output limit.
 
 The package resolves every public name on first use, so its import loads no
 submodule, a command loads only the submodules it runs, ``json`` only under
@@ -317,3 +319,18 @@ def test_only_the_command_line_reads_the_environment():
     # render call it
     assert _package_places(_reads_environment) == ["cli._max_k"]
     assert _package_places(_names_max_k) == ["cli._run_census", "cli._run_render"]
+
+
+def _builds_cap_exceeded(node):
+    """Whether ``node`` calls ``CapExceeded``, by its name or as an attribute."""
+    return isinstance(node, ast.Call) and "CapExceeded" in {
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    }
+
+
+def test_only_the_cap_checks_build_cap_exceeded():
+    # every capped natural is refused by limits.checked; the mex sum cap and the decimal output
+    # limit keep messages of their own
+    assert _package_places(_builds_cap_exceeded) == [
+        "cli._format", "limits.checked", "mex._checked_operands"
+    ]

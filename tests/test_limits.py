@@ -13,23 +13,29 @@ from nimtriples import (
     census,
     census_closed_form_check,
     classification_grid,
+    greedy_minimal_table,
     mex_oracle,
     render_pgm,
 )
 from nimtriples.cli import main
 from nimtriples.limits import CENSUS_CHECK_MAX_K, DEFAULT_RENDER_MAX_K, TABLE_MAX_N
 
-# each width-checked call: the name its cap messages give it, its least width and its default cap
-WIDTH_CHECKED = {
-    census: ("census", 1, 7),
-    classification_grid: ("render", 0, 12),
-    render_pgm: ("render", 0, 12),
+# each capped call: the name its cap messages give it, the operand's name there, the wording of
+# a value below the least, the least value and the default cap
+CAPPED = {
+    census: ("census", "k", "bit width", 1, 7),
+    classification_grid: ("render", "k", "bit width", 0, 12),
+    render_pgm: ("render", "k", "bit width", 0, 12),
+    census_closed_form_check: ("census check", "k", "bit width", 1, 10),
+    greedy_minimal_table: ("table", "n", "table size", 1, 1024),
 }
+TAKES_MAX_K = [census, classification_grid, render_pgm]
 RUN_TO_THE_END = [census, pytest.param(classification_grid, marks=needs_numpy), render_pgm]
+WIDE = (1 << 16000) - 1  # 16000 bits: too long for the interpreter to print in decimal
 
 
 def _call(call, k, **max_k):
-    """``call`` at bit width ``k``, with c = 0 for a grid or a PGM, and a grid as its bytes."""
+    """``call`` at ``k``, with c = 0 for a grid or a PGM, and a grid as its bytes."""
     if call in (classification_grid, render_pgm):
         return bytes(call(k, 0, **max_k))
     return call(k, **max_k)
@@ -45,7 +51,7 @@ def _block_kernel(monkeypatch):
 
 
 def _refused(monkeypatch, call, k, error=ValueError, **max_k) -> str:
-    """The message of the ``error`` that ``call`` raises at width ``k``, with the kernel blocked."""
+    """The message of the ``error`` that ``call`` raises at ``k``, with the kernel blocked."""
     _block_kernel(monkeypatch)
     with pytest.raises(error) as exc:
         _call(call, k, **max_k)
@@ -53,44 +59,43 @@ def _refused(monkeypatch, call, k, error=ValueError, **max_k) -> str:
 
 
 @pytest.mark.parametrize("k", [2.0, True, False, -1, "2", None, Index(), Int(3)])
-@pytest.mark.parametrize("call", WIDTH_CHECKED)
+@pytest.mark.parametrize("call", CAPPED)
 def test_widths_must_be_naturals(monkeypatch, call, k):
     _refused(monkeypatch, call, k)
-    if call is census:
-        _refused(monkeypatch, census_closed_form_check, k)
 
 
-@pytest.mark.parametrize("call", RUN_TO_THE_END)
+@pytest.mark.parametrize("call", [*RUN_TO_THE_END, census_closed_form_check, greedy_minimal_table])
 def test_least_width_is_accepted_and_the_one_below_refused(monkeypatch, call):
-    least = WIDTH_CHECKED[call][1]
+    _, _, wording, least, _ = CAPPED[call]
     _call(call, least)
-    if least:  # a width below 0 is not a natural: test_widths_must_be_naturals refuses -1
-        for check in (census, census_closed_form_check):
-            assert _refused(monkeypatch, check, 0) == "bit width must be >= 1, got 0"
+    if least:  # a value below 0 is not a natural: test_widths_must_be_naturals refuses -1
+        message = _refused(monkeypatch, call, least - 1)
+        assert message == f"{wording} must be >= {least}, got {least - 1}"
 
 
-@pytest.mark.parametrize("call", WIDTH_CHECKED)
+@pytest.mark.parametrize("call", CAPPED)
 def test_default_cap_refuses_the_width_past_it(monkeypatch, call):
-    name, _, cap = WIDTH_CHECKED[call]
-    message = _refused(monkeypatch, call, cap + 1, CapExceeded)
-    assert message == f"{name} k={cap + 1} exceeds cap {cap}"
+    # the cap comes first: a table or a sweep this large could never be built
+    name, operand, _, _, cap = CAPPED[call]
+    for past, named in ((cap + 1, cap + 1), (WIDE, "<16000-bit number>")):
+        message = _refused(monkeypatch, call, past, CapExceeded)
+        assert message == f"{name} {operand}={named} exceeds cap {cap}"
 
 
 @pytest.mark.parametrize("call", RUN_TO_THE_END)
 def test_max_k_refuses_the_width_past_it(monkeypatch, call):
     assert _call(call, 2, max_k=2) == _call(call, 2, max_k=16)
     message = _refused(monkeypatch, call, 3, CapExceeded, max_k=2)
-    assert message == f"{WIDTH_CHECKED[call][0]} k=3 exceeds cap 2"
+    assert message == f"{CAPPED[call][0]} k=3 exceeds cap 2"
 
 
-WIDE = (1 << 16000) - 1  # 16000 bits: too long for the interpreter to print in decimal
 LONG_RAW = "9" * 5000
 
 
 @pytest.mark.parametrize(
     "max_k", [-1, 17, True, 2.5, "7", 1 << 40, pytest.param(WIDE, id="16000-bit")]
 )
-@pytest.mark.parametrize("call", WIDTH_CHECKED)
+@pytest.mark.parametrize("call", TAKES_MAX_K)
 def test_max_k_outside_the_ceiling_is_refused_before_any_work(monkeypatch, call, max_k):
     message = _refused(monkeypatch, call, 1, max_k=max_k)
     got = "<16000-bit number>" if max_k is WIDE else repr(max_k)

@@ -9,31 +9,6 @@ from nimtriples import bit, census, nim_sum, parse_natural, require_natural
 from conftest import WORD_EDGES, Index, Int, of_width
 
 
-def test_parse_decimal():
-    assert parse_natural("0") == 0
-    assert parse_natural("42") == 42
-    assert parse_natural("  7  ") == 7
-
-
-def test_parse_hex_and_binary():
-    assert parse_natural("0x1f") == 31
-    assert parse_natural("0X1F") == 31
-    assert parse_natural("0b101") == 5
-    assert parse_natural("0B101") == 5
-
-
-@pytest.mark.parametrize("text", ["", "abc", "0x", "0b", "0o7", "1.5", "0xg", "0b2"])
-def test_parse_rejects_garbage(text):
-    with pytest.raises(ValueError):
-        parse_natural(text)
-
-
-@pytest.mark.parametrize("text", ["-5", "0x-5", "-0b1", "+5", "1-2"])
-def test_parse_rejects_signs(text):
-    with pytest.raises(ValueError):
-        parse_natural(text)
-
-
 @pytest.mark.parametrize("value", [12, None, b"12", bytearray(b"12")])
 def test_parse_refuses_non_strings(value):
     with pytest.raises(ValueError) as exc:
@@ -155,19 +130,6 @@ def test_require_natural_rejects_bool(value):
         nim_sum(2, value)
 
 
-@pytest.mark.parametrize(
-    "text", ["1_000", "0x_1f", "0b1_0", "٣", "５", "1٣", "0x0x5", "0b0b1", "0x 5", "0o17"]
-)
-def test_parse_rejects_text_outside_the_grammar(text):
-    with pytest.raises(ValueError):
-        parse_natural(text)
-
-
-def test_parse_keeps_prefix_like_hex_digits():
-    assert parse_natural("0x0b1") == 0xB1
-    assert parse_natural("007") == 7
-
-
 _GRAMMAR = re.compile(r"\s*(?:0[xX]([0-9a-fA-F]+)|0[bB]([01]+)|([0-9]+))\s*")
 _ALPHABET = "0123456789abfxXB_+- \t٣５"
 
@@ -182,8 +144,15 @@ def _texts(rng):
         yield head + "".join(rng.choices(rng.choice((_ALPHABET, "01", "0123456789abfB")), k=size))
 
 
+# worked examples: decimal, hex, binary and prefix-like digits, garbage, signs, and digit forms
+# outside the grammar
+_EXAMPLES = ["0", "42", "  7  ", "0x1f", "0X1F", "0b101", "0B101", "007", "0x0b1", "", "abc"]
+_EXAMPLES += ["0x", "0b", "0o7", "1.5", "0xg", "0b2", "-5", "0x-5", "-0b1", "+5", "1-2", "1_000"]
+_EXAMPLES += ["0x_1f", "0b1_0", "٣", "５", "1٣", "0x0x5", "0b0b1", "0x 5", "0o17"]
+
+
 def test_parse_accepts_exactly_the_grammar():
-    for text in _texts(random.Random(12)):
+    for text in [*_EXAMPLES, *_texts(random.Random(12))]:
         match = _GRAMMAR.fullmatch(text)
         if match is None:
             with pytest.raises(ValueError):
