@@ -1,6 +1,7 @@
 """What the test modules share: the environment a test runs in, the golden battery, the
-README, ``needs_numpy``, two non-int probes, and the naturals that more than one module
-draws, each from a ``random.Random`` of constant seed, so each run checks the same cases.
+README, ``needs_numpy``, the kernel block, two non-int probes, the 16000-bit ``WIDE``, and
+the naturals that more than one module draws, each from a ``random.Random`` of constant
+seed, so each run checks the same cases.
 
 ``NIM_TRIPLE_MAX_K`` is removed for every test, so a ``main`` run in process
 caps census and render at their defaults whatever the shell exports; a test
@@ -48,6 +49,8 @@ class Int(int):
 # the ends of the 64-bit word and of two of them, where a fixed-width sum would wrap
 WORD_EDGES = (0, *((1 << w) + d for w in (63, 64, 128) for d in (-1, 0, 1)))
 
+WIDE = (1 << 16000) - 1  # 16000 bits: too long for the interpreter to print in decimal
+
 # entries below 2**10, about the 64-bit word, and far past it
 _ENTRY_RANGES = ((0, (1 << 10) + 1), ((1 << 60) - 8, (1 << 66) + 1), (0, (1 << 300) + 1))
 
@@ -60,6 +63,18 @@ def random_entry(rng):
 def of_width(rng, width):
     """A natural of exactly ``width`` bits."""
     return (1 << (width - 1)) | rng.getrandbits(width - 1)
+
+
+def _no_kernel(*args):
+    raise AssertionError("the kernel ran before the operands were checked")
+
+
+def block_kernel(monkeypatch):
+    """Make the kernel fail the test, so that a refusal must come before any grid or sweep."""
+    from nimtriples import _kernel
+
+    monkeypatch.setattr(_kernel, "pieces", _no_kernel)
+    monkeypatch.setattr(_kernel, "count", _no_kernel)
 
 
 def acceptance_block():

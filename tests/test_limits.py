@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import Index, Int, child_env, needs_numpy
+from conftest import WIDE, Index, Int, block_kernel, child_env, needs_numpy
 from nimtriples import (
     MEX_ENUMERATION_CAP,
     CapExceeded,
@@ -21,7 +21,8 @@ from nimtriples.cli import main
 from nimtriples.limits import CENSUS_CHECK_MAX_K, DEFAULT_RENDER_MAX_K, TABLE_MAX_N
 
 # each capped call: the name its cap messages give it, the operand's name there, the wording of
-# a value below the least, the least value and the default cap
+# a value below the least, the least value and the default cap; that the operand is a natural
+# at all is held by the table of every natural operand in test_natural.py
 CAPPED = {
     census: ("census", "k", "bit width", 1, 7),
     classification_grid: ("render", "k", "bit width", 0, 12),
@@ -31,7 +32,6 @@ CAPPED = {
 }
 TAKES_MAX_K = [census, classification_grid, render_pgm]
 RUN_TO_THE_END = [census, pytest.param(classification_grid, marks=needs_numpy), render_pgm]
-WIDE = (1 << 16000) - 1  # 16000 bits: too long for the interpreter to print in decimal
 
 
 def _call(call, k, **max_k):
@@ -41,34 +41,28 @@ def _call(call, k, **max_k):
     return call(k, **max_k)
 
 
-def _no_kernel(*args):
-    raise AssertionError("the kernel ran before the cap was checked")
-
-
-def _block_kernel(monkeypatch):
-    monkeypatch.setattr(_kernel, "pieces", _no_kernel)
-    monkeypatch.setattr(_kernel, "count", _no_kernel)
-
-
 def _refused(monkeypatch, call, k, error=ValueError, **max_k) -> str:
     """The message of the ``error`` that ``call`` raises at ``k``, with the kernel blocked."""
-    _block_kernel(monkeypatch)
+    block_kernel(monkeypatch)
     with pytest.raises(error) as exc:
         _call(call, k, **max_k)
     return str(exc.value)
 
 
+# the census check checks k once, in `checked`, and no longer through `census`: each
+# non-natural is refused as one there, before the least value and the sweep
 @pytest.mark.parametrize("k", [2.0, True, False, -1, "2", None, Index(), Int(3)])
-@pytest.mark.parametrize("call", CAPPED)
+@pytest.mark.parametrize("call", [census_closed_form_check])
 def test_widths_must_be_naturals(monkeypatch, call, k):
-    _refused(monkeypatch, call, k)
+    message = _refused(monkeypatch, call, k)
+    assert message.startswith(("not an integer: ", "not a natural number: "))
 
 
 @pytest.mark.parametrize("call", [*RUN_TO_THE_END, census_closed_form_check, greedy_minimal_table])
 def test_least_width_is_accepted_and_the_one_below_refused(monkeypatch, call):
     _, _, wording, least, _ = CAPPED[call]
     _call(call, least)
-    if least:  # a value below 0 is not a natural: test_widths_must_be_naturals refuses -1
+    if least:  # a value below 0 is not a natural: test_natural.py's table refuses -1
         message = _refused(monkeypatch, call, least - 1)
         assert message == f"{wording} must be >= {least}, got {least - 1}"
 
@@ -134,7 +128,7 @@ def test_environment_cap_keeps_its_message(monkeypatch, capsys, tmp_path, argv, 
     else:
         monkeypatch.setenv("NIM_TRIPLE_MAX_K", raw)
     monkeypatch.chdir(tmp_path)
-    _block_kernel(monkeypatch)
+    block_kernel(monkeypatch)
     assert main(argv) == 2
     held = os.environ["NIM_TRIPLE_MAX_K"]
     got = "'99999999999999999999'...(5000 chars)" if raw is LONG_RAW else repr(held)
@@ -155,7 +149,7 @@ def test_environment_cap_takes_the_argument_grammar(monkeypatch, raw):
 )
 def test_census_check_cap_holds_whatever_max_k_says(monkeypatch, k, named):
     # 8**k triples: at k=16 the sweep would run for days, so it is refused before it starts
-    monkeypatch.setattr(_kernel, "count", _no_kernel)
+    block_kernel(monkeypatch)
     message = rf"^census check k={named} exceeds cap {CENSUS_CHECK_MAX_K}$"
     with pytest.raises(CapExceeded, match=message):
         census_closed_form_check(k)

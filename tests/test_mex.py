@@ -79,15 +79,6 @@ def test_block_marks_are_the_exclusion_set():
         assert _exclusion_marks(a, b) == bytes(v in excluded for v in range(a + b + 1)), (a, b)
 
 
-@pytest.mark.parametrize("bad", [True, -1, 2.0])
-def test_exclusion_set_and_oracle_reject_the_same_operands(bad):
-    for route in (exclusion_set, mex_oracle):
-        with pytest.raises(ValueError):
-            route(bad, 1)
-        with pytest.raises(ValueError):
-            route(1, bad)
-
-
 def test_greedy_table_tiny():
     assert greedy_minimal_table(1) == [[0]]
     assert greedy_minimal_table(2) == [[0, 1], [1, 0]]

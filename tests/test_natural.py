@@ -1,12 +1,35 @@
+"""Naturals: parsing, the Nim sum, digit access and the short echo of a refused value, and
+one table of every natural operand of the library, each refusing every kind of non-natural.
+"""
+
+import inspect
 import random
 import re
 from itertools import product
 
 import pytest
 
-from nimtriples import bit, census, nim_sum, parse_natural, require_natural
+import nimtriples
+from nimtriples import (
+    advise_move,
+    bit,
+    census,
+    census_closed_form_check,
+    classification_grid,
+    classify_triangle,
+    classify_vertex,
+    exclusion_set,
+    greedy_minimal_table,
+    mex_oracle,
+    nim_sum,
+    parse_natural,
+    render_pgm,
+    reorder_dominant,
+    require_natural,
+    winning_moves,
+)
 
-from conftest import WORD_EDGES, Index, Int, of_width
+from conftest import WIDE, WORD_EDGES, Index, Int, block_kernel, of_width
 
 
 @pytest.mark.parametrize("value", [12, None, b"12", bytearray(b"12")])
@@ -41,33 +64,96 @@ def test_nim_sum_wide_disjoint_supports():
     assert nim_sum(1 << 70, 1) == (1 << 70) + 1
 
 
-def test_nim_sum_rejects_negatives():
-    with pytest.raises(ValueError):
-        nim_sum(-1, 3)
-    with pytest.raises(ValueError):
-        nim_sum(3, -1)
+def test_require_natural_returns_a_natural_as_is():
+    for x in _NATURALS:
+        assert require_natural(x) is x, x
 
 
-def test_require_natural_rejects_non_integers():
-    with pytest.raises(ValueError):
-        require_natural(1.5)
-    with pytest.raises(ValueError):
-        require_natural("3")
-    # only int itself: integers of other types are refused, not converted
-    for value in (Index(), Int(5)):
-        with pytest.raises(ValueError, match=rf"^not an integer: {re.escape(repr(value))}$"):
-            require_natural(value)
-    assert require_natural(0) == 0
+# Each public call that takes a natural, with one valid set of arguments: each argument named
+# is a natural operand, and a position's operand is its middle pile.
+NATURAL_OPERANDS = {
+    require_natural: {"value": 5},
+    nim_sum: {"a": 5, "b": 6},
+    bit: {"a": 5, "i": 2},
+    classify_vertex: {"x": 5, "y": 6, "z": 7},
+    classify_triangle: {"a": 5, "b": 6, "c": 7},
+    reorder_dominant: {"a1": 5, "a2": 6, "a3": 7},
+    advise_move: {"piles": [5, 6, 7]},
+    winning_moves: {"piles": [5, 6, 7]},
+    exclusion_set: {"a": 5, "b": 6},
+    mex_oracle: {"a": 5, "b": 6},
+    census: {"k": 2},
+    census_closed_form_check: {"k": 2},
+    greedy_minimal_table: {"n": 2},
+    classification_grid: {"k": 2, "fixed_c": 5},
+    render_pgm: {"k": 2, "fixed_c": 5},
+}
+
+# only int itself is a natural: a bool, an int subclass or an __index__ object is refused, not
+# converted; a value past 64 bits is echoed by its sign and width
+NON_NATURALS = [
+    pytest.param(True, "not an integer: True", id="True"),
+    pytest.param(False, "not an integer: False", id="False"),
+    pytest.param(-1, "not a natural number: -1", id="-1"),
+    pytest.param(2.0, "not an integer: 2.0", id="2.0"),
+    pytest.param("2", "not an integer: '2'", id="str"),
+    pytest.param(None, "not an integer: None", id="None"),
+    pytest.param(Index(), "not an integer: Index()", id="Index"),
+    pytest.param(Int(3), "not an integer: 3", id="Int"),
+    pytest.param(-WIDE, "not a natural number: -<16000-bit number>", id="16000-bit-negative"),
+]
 
 
-WIDE_NEGATIVE = -(1 << 16000)  # too long for the interpreter to print in decimal
+@pytest.mark.parametrize(("value", "message"), NON_NATURALS)
+@pytest.mark.parametrize(
+    ("call", "operand"),
+    [
+        pytest.param(call, operand, id=f"{call.__name__}-{operand}")
+        for call, args in NATURAL_OPERANDS.items()
+        for operand in args
+    ],
+)
+def test_every_natural_operand_refuses_each_non_natural(monkeypatch, call, operand, value, message):
+    block_kernel(monkeypatch)  # so a refusal must come before any grid or sweep
+    args = dict(NATURAL_OPERANDS[call])
+    args[operand] = [5, value, 7] if operand == "piles" else value
+    with pytest.raises(ValueError) as exc:
+        call(**args)
+    assert str(exc.value) == message
+
+
+# the parameters of public calls that the table leaves out, each with the reason
+NOT_IN_THE_TABLE = {
+    ("parse_natural", "text"): "a str, whose grammar test_parse_accepts_exactly_the_grammar holds",
+    ("verify_table_equals_xor", "rows"): "a table, not a natural",
+    ("table_to_text", "rows"): "a table, not a natural",
+    **dict.fromkeys(
+        [("case_table_lookup", digit) for digit in ("bit_a", "bit_b", "bit_c")],
+        "a binary digit, whose rule test_case_table_rejects_non_digits holds",
+    ),
+    **dict.fromkeys(
+        [(name, "max_k") for name in ("census", "classification_grid", "render_pgm")],
+        "a cap, not an operand, whose rule test_limits.py holds",
+    ),
+}
+
+
+def test_every_public_parameter_is_in_the_table_or_left_out_with_a_reason():
+    # a new public call, or a new parameter of one, cannot skip the table unnoticed
+    calls = [getattr(nimtriples, name) for name in nimtriples.__all__]
+    parameters = {
+        (call.__name__, parameter)
+        for call in calls
+        if inspect.isfunction(call)
+        for parameter in inspect.signature(call).parameters
+    }
+    held = {(call.__name__, operand) for call, args in NATURAL_OPERANDS.items() for operand in args}
+    assert sorted(parameters) == sorted(held | NOT_IN_THE_TABLE.keys())
 
 
 @pytest.mark.parametrize(
     ("call", "message"),
     [
-        (lambda: nim_sum(WIDE_NEGATIVE, 0), "not a natural number: -<16001-bit number>"),
-        (lambda: census(WIDE_NEGATIVE), "not a natural number: -<16001-bit number>"),
         (lambda: census("9" * 5000), "not an integer: '99999999999999999999'...(5000 chars)"),
         (
             lambda: require_natural([0] * 100000),
@@ -77,17 +163,13 @@ WIDE_NEGATIVE = -(1 << 16000)  # too long for the interpreter to print in decima
             lambda: parse_natural("9" * 5000 + "x"),
             "not a natural number: '99999999999999999999'...(5001 chars)",
         ),
-        (lambda: parse_natural(WIDE_NEGATIVE), "not a natural number: -<16001-bit number>"),
-        (lambda: nim_sum(-5, 0), "not a natural number: -5"),
+        (lambda: parse_natural(-WIDE), "not a natural number: -<16000-bit number>"),
         (lambda: require_natural(-(1 << 64) + 1), f"not a natural number: {-(1 << 64) + 1}"),
-        (lambda: require_natural("7"), "not an integer: '7'"),
-        (lambda: require_natural(Int(1 << 16000)), "not an integer: <16001-bit number>"),
-        (lambda: require_natural(Int(5)), "not an integer: 5"),
+        (lambda: require_natural(Int(WIDE)), "not an integer: <16000-bit number>"),
     ],
     ids=[
-        "nim_sum-wide", "census-wide", "census-long-str", "require-long-list",
-        "parse-long", "parse-wide-int", "short-negative", "64-bit-negative", "short-str",
-        "wide-int-subclass", "narrow-int-subclass",
+        "census-long-str", "require-long-list", "parse-long", "parse-wide-int",
+        "64-bit-negative", "wide-int-subclass",
     ],
 )
 def test_refusal_echoes_the_value_short(call, message):
@@ -107,27 +189,6 @@ def test_bit_wide():
     assert bit(1 << 70, 70) == 1
     assert bit(1 << 70, 69) == 0
     assert bit(1 << 70, 71) == 0
-
-
-def test_bit_rejects_negative_index():
-    with pytest.raises(ValueError):
-        bit(5, -1)
-
-
-@pytest.mark.parametrize("index", [True, 2.0, "2", None])
-def test_bit_index_must_be_natural(index):
-    with pytest.raises(ValueError):
-        bit(5, index)
-
-
-@pytest.mark.parametrize("value", [True, False])
-def test_require_natural_rejects_bool(value):
-    with pytest.raises(ValueError):
-        require_natural(value)
-    with pytest.raises(ValueError):
-        nim_sum(value, 2)
-    with pytest.raises(ValueError):
-        nim_sum(2, value)
 
 
 _GRAMMAR = re.compile(r"\s*(?:0[xX]([0-9a-fA-F]+)|0[bB]([01]+)|([0-9]+))\s*")
