@@ -33,11 +33,14 @@ def shown(value: int) -> str:
 
 
 def _echo(value) -> str:
-    """A refused value, short: a str by ``_token``, an int by ``shown``, else its repr cut."""
+    """A refused value, short: a str by ``_token``, an int by ``shown``, an ``int`` subclass
+    but bool by its type name around ``shown``, else its repr cut."""
     if isinstance(value, str):
         return _token(value)
-    if type(value) is int or isinstance(value, int) and int.bit_length(value) > 64:
-        return shown(int(value))
+    if type(value) is int:
+        return shown(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return f"{type(value).__name__}({shown(int.__int__(value))})"
     return _token(repr(value), str)
 
 

@@ -6,10 +6,12 @@ seed, so each run checks the same cases.
 ``NIM_TRIPLE_MAX_K`` is removed for every test, so a ``main`` run in process
 caps census and render at their defaults whatever the shell exports; a test
 that needs the variable sets it itself.  ``child_env`` is the one environment
-of a child interpreter, and ``golden`` is ``tools/golden.py``, loaded once.
+of a child interpreter, ``golden`` is ``tools/golden.py``, loaded once, and
+``GOLDEN_ENTRIES`` the battery it recorded in ``tests/golden_cli.json``.
 """
 
 import importlib.util
+import json
 import os
 import re
 from pathlib import Path
@@ -22,6 +24,7 @@ SRC = ROOT / "src"
 _spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
 golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
+GOLDEN_ENTRIES = json.loads(golden.GOLDEN.read_text(encoding="ascii"))
 
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 

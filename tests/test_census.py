@@ -27,22 +27,6 @@ def test_census_matches_per_triple_classification(k):
     assert report.counts == brute_counts(k)
 
 
-def test_report_to_line():
-    report = census(1)
-    assert report.to_line() == "k=1 flat=4 tight=1 loose=3"
-
-
-def test_report_as_dict():
-    payload = census(1)._asdict()
-    assert list(payload.items()) == [("k", 1), ("flat", 4), ("tight", 1), ("loose", 3)]
-
-
-def test_report_outputs_for_k2():
-    report = census(2)
-    assert report.to_line() == "k=2 flat=16 tight=12 loose=36"
-    assert list(report._asdict().items()) == [("k", 2), ("flat", 16), ("tight", 12), ("loose", 36)]
-
-
 @pytest.mark.parametrize("k", range(1, 65))
 def test_closed_form_is_the_sum_over_discriminants(k):
     # above j: 4**(k-1-j) even-parity digit triples; at j: one tight row; below j: 8**j

@@ -1,11 +1,14 @@
 """What the golden battery of ``tools/golden.py`` cannot pin about the command line.
 
 The battery records each argv's exit code, stdout, stderr and files, run in
-process.  The tests here need more: a child process whose stdout or stderr
-fails or is closed, a check made to fail, traced memory, a file the render
-replaces, and a render interrupted part way.
+process.  The tests here need more.  One table, ``STREAMS``, holds every case
+of a child process whose stdout or stderr fails or is closed, and reads the
+bytes it expects from the battery wherever the argv is an entry; the other
+tests make a check fail, trace memory, replace a file, or interrupt a render
+part way.
 """
 
+import contextlib
 import errno
 import json
 import os
@@ -19,7 +22,7 @@ import tracemalloc
 import pytest
 
 import nimtriples
-from conftest import child_env
+from conftest import GOLDEN_ENTRIES, child_env, golden
 from nimtriples import render
 from nimtriples.cli import main
 from nimtriples.render import render_pgm
@@ -151,135 +154,116 @@ def test_render_in_another_thread_writes_without_a_handler(capsys, tmp_path):
     assert target.read_bytes() == render_pgm(2, 5)
 
 
-def _child(*argv, stdout, stderr=subprocess.PIPE, unbuffered=False, preexec_fn=None, cwd=None):
+# the battery's entries with NIM_TRIPLE_MAX_K unset, by argv
+_BATTERY = {tuple(e["argv"]): e for e in GOLDEN_ENTRIES if e[golden.MAX_K_ENV] is None}
+_HELP, _SUM_HELP = _BATTERY["-h",]["stdout"], _BATTERY["sum", "-h"]["stdout"]
+_FROG = _BATTERY["sum", "1", "frog"]
+_EBADF, _ENOSPC = (
+    f"error: cannot write stdout: [Errno {number}] {os.strerror(number)}\n"
+    for number in (errno.EBADF, errno.ENOSPC)
+)
+
+
+def _row(argv, fd1, fd2, code, out, err):
+    # an id holds no "/", so no part of it reads as a path
+    name = "_".join(argv).replace("/", "_")
+    return pytest.param(argv, fd1, fd2, code, out, err, id=f"{name}-1={fd1}-2={fd2}")
+
+
+# Every stream case: the argv; how the child gets fd 1 (a pipe, a pipe whose reader closes it
+# after 10 bytes, a read-only file, /dev/full, or closed at start) and fd 2 (a pipe, a
+# read-only file, or closed); its exit code; and the exact bytes read from fd 1 and fd 2 after
+# any bytes the reader took, None where that fd is no pipe.  Where the argv is a battery
+# entry, its bytes are read from it, so a failing stream changes only where they go.
+STREAMS = [
+    # a stdout that fails: exit 1 with one error line, or none for a reader that closed the
+    # pipe; a usage error never writes to stdout, and a render has written its file whole
+    _row(("table", "1024"), "pipe-10", "pipe", 1, "", ""),
+    *(
+        _row(argv, "read-only", "pipe", 1, None, _EBADF)
+        for argv in [
+            ("sum", "5", "3"),
+            ("table", "64"),  # past the 8 KiB buffer, so a buffered write fails before exit
+            ("-h",),
+            ("sum", "-h"),
+            ("render", "1", "0", "--out", "grid.pgm"),
+        ]
+    ),
+    _row(("sum", "1", "frog"), "read-only", "pipe", 2, None, _FROG["stderr"]),
+    _row(("sum", "5", "3"), "full", "pipe", 1, None, _ENOSPC),
+    _row(("-h",), "full", "pipe", 1, None, _ENOSPC),
+    # fd 1 closed at start: sys.stdout is None, print drops its line, and help goes to stderr
+    _row(("sum", "5", "3"), "closed", "pipe", 0, None, ""),
+    _row(("table", "1025"), "closed", "pipe", 3, None, _BATTERY["table", "1025"]["stderr"]),
+    _row(("-h",), "closed", "pipe", 0, None, _HELP),
+    _row(("sum", "-h"), "closed", "pipe", 0, None, _SUM_HELP),
+    # a stderr that fails, read-only or closed at start: the battery's stdout and exit code,
+    # and neither an error line nor a usage line falls back to stdout
+    *(
+        _row(argv, "pipe", fd2, _BATTERY[argv]["exit"], _BATTERY[argv]["stdout"], None)
+        for argv in [
+            ("table", "1025"),
+            ("mex", "0x100000", "1"),
+            ("census", "0"),
+            ("render", "2", "5", "--out", "missing/x.pgm"),
+            ("sum", "5", "3"),
+            ("sum", "1", "frog"),
+        ]
+        for fd2 in ("read-only", "closed")
+    ),
+    _row(("-h",), "pipe", "closed", 0, _HELP, None),
+    _row(("sum", "-h"), "pipe", "closed", 0, _SUM_HELP, None),
+]
+
+
+def _child(*argv, stdout, stderr, unbuffered, closed, cwd):
     # a buffered stdout keeps the bytes a failed flush could not write and
     # flushes them again at exit; an unbuffered one fails at the first write
+    def close_at_start():
+        for fd in closed:
+            os.close(fd)
+
     return subprocess.Popen(
         [sys.executable, "-m", "nimtriples", *argv],
         stdout=stdout,
         stderr=stderr,
         text=True,
         env=child_env(PYTHONUNBUFFERED="1" if unbuffered else None),
-        preexec_fn=preexec_fn,
+        preexec_fn=close_at_start,
         cwd=cwd,
     )
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_closed_stdout_pipe_exits_1_quietly(unbuffered):
-    # about 4 MB of table against a reader that stops after 10 bytes
-    with _child("table", "1024", stdout=subprocess.PIPE, unbuffered=unbuffered) as proc:
-        assert len(proc.stdout.read(10)) == 10
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 1
-    assert err == ""
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,fd1,fd2,code,out,err", STREAMS)
+def test_failing_stream(tmp_path, argv, fd1, fd2, code, out, err, unbuffered):
+    if fd1 == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    read_only = [name for name, how in (("out", fd1), ("err", fd2)) if how == "read-only"]
+    with contextlib.ExitStack() as opened:
 
+        def stream(how, name):
+            if how == "read-only":  # every write to a file opened for reading fails with EBADF
+                (tmp_path / name).write_text("")
+                return opened.enter_context(open(tmp_path / name))
+            if how == "full":  # every write fails with ENOSPC
+                return opened.enter_context(open("/dev/full", "w"))
+            return None if how == "closed" else subprocess.PIPE
 
-def _assert_one_error_line(proc, err):
-    assert proc.returncode == 1
-    assert err.startswith("error: cannot write stdout: ")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
-    assert "Exception ignored" not in err
-
-
-@pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("argv", [("sum", "1", "2"), ("table", "64")])
-def test_read_only_stdout_exits_1_with_one_error_line(tmp_path, argv, unbuffered):
-    # every write to a stdout opened for reading fails with EBADF
-    (tmp_path / "out").write_text("")
-    with open(tmp_path / "out") as read_only:
-        proc = _child(*argv, stdout=read_only, unbuffered=unbuffered)
-        _, err = proc.communicate(timeout=60)
-    _assert_one_error_line(proc, err)
-    assert "Bad file descriptor" in err
-
-
-@pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize(
-    "argv,code",
-    [(("-h",), 1), (("sum", "-h"), 1), (("sum", "1", "frog"), 2)],
-    ids=["help", "command-help", "usage-error"],
-)
-def test_help_and_usage_to_a_read_only_stdout(tmp_path, argv, code, unbuffered):
-    # help fails on stdout and exits 1; a usage error writes only to stderr
-    (tmp_path / "out").write_text("")
-    with open(tmp_path / "out") as read_only:
-        proc = _child(*argv, stdout=read_only, unbuffered=unbuffered)
-        _, err = proc.communicate(timeout=60)
-    assert proc.returncode == code
-    assert "Traceback" not in err
-    assert "Exception ignored" not in err
-    if code == 1:
-        _assert_one_error_line(proc, err)
-    else:
-        assert "invalid parse_natural value: 'frog'" in err
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_full_stdout_exits_1_with_one_error_line(unbuffered):
-    with open("/dev/full", "w") as full:
-        proc = _child("sum", "1", "2", stdout=full, unbuffered=unbuffered)
-        _, err = proc.communicate(timeout=60)
-    _assert_one_error_line(proc, err)
-
-
-def test_closed_stdout_fd_exits_0_quietly():
-    # started with fd 1 closed, the interpreter sets sys.stdout to None and
-    # print drops its line
-    proc = _child("sum", "1", "2", stdout=None, preexec_fn=lambda: os.close(1))
-    _, err = proc.communicate(timeout=60)
-    assert (proc.returncode, err) == (0, "")
-
-
-@pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("stderr", ["read-only", "closed"])
-@pytest.mark.parametrize(
-    "argv,code,out",
-    [
-        (("table", "1025"), 3, ""),
-        (("mex", "0x100000", "1"), 3, ""),
-        (("census", "0"), 2, ""),
-        (("render", "2", "0", "--out", "missing/x.pgm"), 1, ""),
-        (("sum", "1", "2"), 0, "3\n"),
-        (("sum", "1", "frog"), 2, ""),
-    ],
-    ids=["table-cap", "mex-cap", "census-zero", "render-unwritable", "sum", "usage-error"],
-)
-def test_unwritable_stderr_keeps_the_exit_code(tmp_path, argv, code, out, stderr, unbuffered):
-    # a read-only stderr fails every write with EBADF, and a buffered one
-    # would fail again in the flush at exit; with fd 2 closed at start-up
-    # sys.stderr is None, and neither an error line nor a usage line may
-    # fall back to stdout
-    (tmp_path / "err").write_text("")
-    with open(tmp_path / "err") as read_only:
-        proc = _child(
-            *argv,
-            stdout=subprocess.PIPE,
-            stderr=read_only if stderr == "read-only" else None,
-            unbuffered=unbuffered,
-            preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None,
-            cwd=tmp_path,
+        closed = [fd for fd, how in ((1, fd1), (2, fd2)) if how == "closed"]
+        streams = dict(stdout=stream(fd1, "out"), stderr=stream(fd2, "err"))
+        proc = opened.enter_context(
+            _child(*argv, **streams, unbuffered=unbuffered, closed=closed, cwd=tmp_path)
         )
-        stdout, _ = proc.communicate(timeout=60)
-    assert (proc.returncode, stdout) == (code, out)
-    assert (tmp_path / "err").read_text() == ""
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["err"]
-
-
-@pytest.mark.parametrize("argv", [("-h",), ("sum", "-h")], ids=["help", "command-help"])
-@pytest.mark.parametrize("fd", [2, 1], ids=["fd-2", "fd-1"])
-def test_help_with_one_fd_closed_goes_to_the_other(argv, fd):
-    # help goes to stdout, and to stderr when the process started with fd 1
-    # closed and sys.stdout is None
-    expected, _ = _child(*argv, stdout=subprocess.PIPE).communicate(timeout=60)
-    assert expected.startswith("usage: nimtriples")
-    stdout, stderr = (subprocess.PIPE, None) if fd == 2 else (None, subprocess.PIPE)
-    proc = _child(*argv, stdout=stdout, stderr=stderr, preexec_fn=lambda: os.close(fd))
-    out, err = proc.communicate(timeout=60)
-    assert (proc.returncode, out if fd == 2 else err) == (0, expected)
+        if fd1 == "pipe-10":  # about 4 MB of table against a reader that stops after 10 bytes
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+        assert (proc.communicate(timeout=60), proc.returncode) == ((out, err), code)
+    # the read-only files stay empty, and the working directory holds what the battery's run
+    # wrote, or nothing where the argv has no entry
+    written = _BATTERY[argv]["files"] if argv in _BATTERY else {}
+    left = {path.name: golden._digest(path.read_bytes()) for path in tmp_path.iterdir()}
+    assert left == {**dict.fromkeys(read_only, golden._digest(b"")), **written}
 
 
 @pytest.mark.parametrize(

@@ -18,12 +18,11 @@ battery entry does, with ``NIM_TRIPLE_MAX_K`` at 4, so widths are capped at
 millisecond, and the wide operands only ever reach a cap or the output limit.
 """
 
-import json
 import random
 
 import pytest
 
-from conftest import golden
+from conftest import GOLDEN_ENTRIES, golden
 
 SEED = 34
 DRAWS = 300
@@ -48,7 +47,7 @@ def assert_contract(entry):
 
 
 def test_every_battery_entry_keeps_the_contract():
-    for entry in json.loads(golden.GOLDEN.read_text(encoding="ascii")):
+    for entry in GOLDEN_ENTRIES:
         assert_contract(entry)
 
 

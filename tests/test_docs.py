@@ -4,19 +4,19 @@ A count, a cap or a command that the README copies from elsewhere is read
 from its source here, so the prose cannot drift from it: the battery's
 size and its corner draws, the number of argvs ``tools/golden.py --against``
 replays, the cap ledger's values and the commands that reach them, the
-command-line examples, run here, and the criteria of the acceptance block.
+command-line examples and the Library block's stated values, run here, and
+the criteria of the acceptance block.
 Each verdict line of that block is checked against the suite's own output by
 ``report`` in ``tests/test_acceptance.py``.
 """
 
 import ast
-import json
 import re
 import shlex
 
 import pytest
 
-from conftest import README, ROOT, acceptance_block, golden
+from conftest import GOLDEN_ENTRIES, README, ROOT, acceptance_block, golden
 from nimtriples import limits
 from nimtriples.cli import main
 
@@ -28,8 +28,8 @@ def _stated(pattern: str) -> int:
 
 
 def test_battery_count_is_the_battery_size():
-    battery = json.loads(golden.GOLDEN.read_text(encoding="ascii"))
-    assert _stated(r"`tests/golden_cli\.json` records every byte of (\d+) argvs") == len(battery)
+    stated = _stated(r"`tests/golden_cli\.json` records every byte of (\d+) argvs")
+    assert stated == len(GOLDEN_ENTRIES)
 
 
 def test_corner_count_is_the_corner_draws():
@@ -116,3 +116,19 @@ def test_readme_example(capsys, monkeypatch, tmp_path, argv, expected):
     code = main(argv)
     out, err = capsys.readouterr()
     assert (code, out.splitlines(), err) == (0, expected, "")
+
+
+# the Library block: its imports, then one call a line whose comment states, up to any
+# colon, a Python expression that the call equals
+_LIBRARY = README.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+_LIBRARY_IMPORTS, _, _LIBRARY_CALLS = _LIBRARY.partition("\n\n")
+LIBRARY_EXAMPLES = [line.split("  # ", 1) for line in _LIBRARY_CALLS.splitlines()]
+
+
+@pytest.mark.parametrize(
+    "call,comment", LIBRARY_EXAMPLES, ids=[call.strip() for call, _ in LIBRARY_EXAMPLES]
+)
+def test_library_example(call, comment):
+    names = {}
+    exec(_LIBRARY_IMPORTS, names)
+    assert eval(call, names) == eval(comment.partition(":")[0], names)

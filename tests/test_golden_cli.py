@@ -12,15 +12,14 @@ all three must give its entry, and each run must leave the caller's decimal
 limit as it found it.
 """
 
-import json
+import subprocess
 import sys
 
 import pytest
 
-from conftest import golden
+from conftest import GOLDEN_ENTRIES, child_env, golden
 
 BATTERY = golden.battery()
-EXPECTED = json.loads(golden.GOLDEN.read_text(encoding="ascii"))
 
 
 @pytest.fixture(scope="module")
@@ -29,10 +28,10 @@ def workdir(tmp_path_factory):
 
 
 def test_the_battery_has_one_entry_per_argv():
-    assert len(EXPECTED) == len(BATTERY)
+    assert len(GOLDEN_ENTRIES) == len(BATTERY)
 
 
-@pytest.mark.parametrize("index", range(len(EXPECTED)))
+@pytest.mark.parametrize("index", range(len(GOLDEN_ENTRIES)))
 def test_argv_gives_its_golden_bytes(monkeypatch, workdir, index):
     argv, max_k = BATTERY[index]
     saved = sys.get_int_max_str_digits()
@@ -41,7 +40,21 @@ def test_argv_gives_its_golden_bytes(monkeypatch, workdir, index):
             monkeypatch.setenv("COLUMNS", columns)
         sys.set_int_max_str_digits(digits)
         try:
-            assert golden.record(argv, max_k, workdir) == EXPECTED[index], (columns, digits)
+            assert golden.record(argv, max_k, workdir) == GOLDEN_ENTRIES[index], (columns, digits)
             assert sys.get_int_max_str_digits() == digits
         finally:
             sys.set_int_max_str_digits(saved)
+
+
+def test_against_a_tree_without_the_package_replays_nothing(capsys, monkeypatch, tmp_path):
+    # the child's import would fall through to this checkout's package, so TREE is refused
+    monkeypatch.setattr(golden, "_replay", lambda tree: pytest.fail(f"replayed {tree}"))
+    monkeypatch.setattr(sys, "argv", ["golden.py", "--against", str(tmp_path)])
+    assert golden.main() == 2
+    assert capsys.readouterr() == ("", f"{tmp_path} has no src/nimtriples package to replay\n")
+    # and a child given that src stops at its import, before its first draw
+    src = str(tmp_path / "src")
+    child = [sys.executable, golden.__file__, "--replay", src]
+    proc = subprocess.run(child, capture_output=True, text=True, env=child_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"{src} holds no nimtriples: ")

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import WIDE, Index, Int, block_kernel, child_env, needs_numpy
+from conftest import WIDE, block_kernel, child_env, needs_numpy
 from nimtriples import (
     MEX_ENUMERATION_CAP,
     CapExceeded,
@@ -47,15 +47,6 @@ def _refused(monkeypatch, call, k, error=ValueError, **max_k) -> str:
     with pytest.raises(error) as exc:
         _call(call, k, **max_k)
     return str(exc.value)
-
-
-# the census check checks k once, in `checked`, and no longer through `census`: each
-# non-natural is refused as one there, before the least value and the sweep
-@pytest.mark.parametrize("k", [2.0, True, False, -1, "2", None, Index(), Int(3)])
-@pytest.mark.parametrize("call", [census_closed_form_check])
-def test_widths_must_be_naturals(monkeypatch, call, k):
-    message = _refused(monkeypatch, call, k)
-    assert message.startswith(("not an integer: ", "not a natural number: "))
 
 
 @pytest.mark.parametrize("call", [*RUN_TO_THE_END, census_closed_form_check, greedy_minimal_table])

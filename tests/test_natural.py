@@ -99,7 +99,7 @@ NON_NATURALS = [
     pytest.param("2", "not an integer: '2'", id="str"),
     pytest.param(None, "not an integer: None", id="None"),
     pytest.param(Index(), "not an integer: Index()", id="Index"),
-    pytest.param(Int(3), "not an integer: 3", id="Int"),
+    pytest.param(Int(3), "not an integer: Int(3)", id="Int"),
     pytest.param(-WIDE, "not a natural number: -<16000-bit number>", id="16000-bit-negative"),
 ]
 
@@ -165,7 +165,7 @@ def test_every_public_parameter_is_in_the_table_or_left_out_with_a_reason():
         ),
         (lambda: parse_natural(-WIDE), "not a natural number: -<16000-bit number>"),
         (lambda: require_natural(-(1 << 64) + 1), f"not a natural number: {-(1 << 64) + 1}"),
-        (lambda: require_natural(Int(WIDE)), "not an integer: <16000-bit number>"),
+        (lambda: require_natural(Int(WIDE)), "not an integer: Int(<16000-bit number>)"),
     ],
     ids=[
         "census-long-str", "require-long-list", "parse-long", "parse-wide-int",

@@ -15,7 +15,9 @@ file stays small; the argvs themselves come from ``battery()``.
 ``_draw`` and ``_wide_corner``, through this checkout's ``main`` and through
 the one in the checkout at TREE, each in a child process of its own since
 both packages are named ``nimtriples``, and prints every argv whose entry
-differs.
+differs.  A TREE without a ``src/nimtriples`` package is refused before any
+replay, and a child whose import reaches a package outside the ``src`` it
+was given stops, so neither replays this checkout in TREE's place.
 
 ``tests/test_golden_cli.py`` makes the same comparison entry by entry, once
 as the shell leaves it and once under each of two terminal widths and
@@ -385,8 +387,10 @@ def record(argv: list[str], max_k: str | None, workdir: str) -> dict:
 def _replay(tree: str) -> list[dict]:
     """The entries of ``draws()`` as the checkout at ``tree`` writes them, run in a child."""
     src = str(Path(tree).resolve() / "src")
-    child = [sys.executable, __file__, "--replay", src]
-    return json.loads(subprocess.run(child, stdout=subprocess.PIPE, check=True).stdout)
+    proc = subprocess.run([sys.executable, __file__, "--replay", src], stdout=subprocess.PIPE)
+    if proc.returncode:
+        sys.exit(f"the replay of {tree} exited {proc.returncode}")
+    return json.loads(proc.stdout)
 
 
 def main() -> int:
@@ -397,11 +401,19 @@ def main() -> int:
     args = parser.parse_args()
     if args.replay:
         sys.path.insert(0, args.replay)
+        import nimtriples
+
+        # without a package of its own in SRC, the import falls through to this checkout's
+        if not Path(nimtriples.__file__).resolve().is_relative_to(Path(args.replay).resolve()):
+            sys.exit(f"{args.replay} holds no nimtriples: {nimtriples.__file__} was imported")
         with tempfile.TemporaryDirectory() as workdir:
             entries = [record(argv, max_k, workdir) for argv, max_k in draws()]
         json.dump(entries, sys.stdout)
         return 0
     if args.against:
+        if not (Path(args.against) / "src" / "nimtriples" / "__init__.py").is_file():
+            print(f"{args.against} has no src/nimtriples package to replay", file=sys.stderr)
+            return 2
         here, there = _replay(str(ROOT)), _replay(args.against)
         changed = [(mine, theirs) for mine, theirs in zip(here, there) if mine != theirs]
         for mine, theirs in changed:
