@@ -6,14 +6,19 @@ seed, so each run checks the same cases.
 ``NIM_TRIPLE_MAX_K`` is removed for every test, so a ``main`` run in process
 caps census and render at their defaults whatever the shell exports; a test
 that needs the variable sets it itself.  ``child_env`` is the one environment
-of a child interpreter, ``golden`` is ``tools/golden.py``, loaded once, and
-``GOLDEN_ENTRIES`` the battery it recorded in ``tests/golden_cli.json``.
+of a child interpreter and ``run_child`` the one way to run one to its end,
+``golden`` is ``tools/golden.py``, loaded once, ``GOLDEN_ENTRIES`` the battery
+it recorded in ``tests/golden_cli.json``, and ``GOLDEN_BY_ARGV`` its entries
+with ``NIM_TRIPLE_MAX_K`` unset, by argv: the one record of what an argv
+writes.
 """
 
 import importlib.util
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +30,7 @@ _spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golde
 golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
 GOLDEN_ENTRIES = json.loads(golden.GOLDEN.read_text(encoding="ascii"))
+GOLDEN_BY_ARGV = {tuple(e["argv"]): e for e in GOLDEN_ENTRIES if e[golden.MAX_K_ENV] is None}
 
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 
@@ -100,3 +106,19 @@ def child_env(**changes):
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", **changes}
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     return {name: value for name, value in env.items() if value is not None}
+
+
+def run_child(*args, env=None, text=True, timeout=60, **options):
+    """The finished run of ``sys.executable`` with ``args``, its stdout and stderr captured.
+
+    It runs in ``child_env`` with ``env``'s changes; ``options`` go to
+    ``subprocess.run``, such as ``cwd``, ``input`` or ``check``.
+    """
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=text,
+        env=child_env(**(env or {})),
+        timeout=timeout,
+        **options,
+    )

@@ -5,7 +5,7 @@ process.  The tests here need more.  One table, ``STREAMS``, holds every case
 of a child process whose stdout or stderr fails or is closed, and reads the
 bytes it expects from the battery wherever the argv is an entry; the other
 tests make a check fail, trace memory, replace a file, or interrupt a render
-part way.
+part way or ``python -m nimtriples`` while it imports the command line.
 """
 
 import contextlib
@@ -22,7 +22,7 @@ import tracemalloc
 import pytest
 
 import nimtriples
-from conftest import GOLDEN_ENTRIES, child_env, golden
+from conftest import GOLDEN_BY_ARGV, child_env, golden, run_child
 from nimtriples import render
 from nimtriples.cli import main
 from nimtriples.render import render_pgm
@@ -73,13 +73,7 @@ def test_render_failed_write_leaves_existing_file_untouched(tmp_path):
     # the child may write at most 1000 bytes per file, less than the 4107-byte PGM
     target = tmp_path / "grid.pgm"
     target.write_bytes(b"previous render")
-    proc = subprocess.run(
-        [sys.executable, "-c", _LIMITED_WRITE, "render", "6", "0", "--out", str(target)],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        timeout=60,
-    )
+    proc = run_child("-c", _LIMITED_WRITE, "render", "6", "0", "--out", str(target))
     assert (proc.returncode, proc.stdout) == (1, "")
     assert f"cannot write {target}" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -99,6 +93,23 @@ def test_interrupt_exits_130_and_leaves_no_file(capsys, monkeypatch, tmp_path):
     assert run(capsys, "render", "2", "5", "--out", str(target)) == (130, "", "")
     assert target.read_bytes() == b"previous render"
     assert list(tmp_path.iterdir()) == [target]
+
+
+# python -m nimtriples, interrupted while __main__ imports the command line
+_INTERRUPTED_IMPORT = """
+import runpy, sys
+class Interrupt:
+    def find_spec(self, name, path=None, target=None):
+        if name == "nimtriples.cli":
+            raise KeyboardInterrupt
+sys.meta_path.insert(0, Interrupt())
+runpy.run_module("nimtriples", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_interrupt_while_the_command_line_imports_exits_130():
+    proc = run_child("-c", _INTERRUPTED_IMPORT)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "")
 
 
 # A render whose pieces send the process SIGTERM after the first, so nothing depends on timing,
@@ -125,13 +136,7 @@ def test_sigterm_mid_render_exits_143_where_nothing_else_handles_it(tmp_path, ha
     target = tmp_path / "grid.pgm"
     target.write_bytes(b"previous render")
     argv = [handler, "render", "6", "5", "--out", str(target)]
-    proc = subprocess.run(
-        [sys.executable, "-c", _TERMINATED_WRITE, *argv],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        timeout=60,
-    )
+    proc = run_child("-c", _TERMINATED_WRITE, *argv)
     if handler == "SIG_DFL":  # no scratch file left, and the target as it was
         assert (proc.returncode, proc.stdout, proc.stderr) == (143, "SIG_DFL\n", "")
         assert target.read_bytes() == b"previous render"
@@ -154,10 +159,8 @@ def test_render_in_another_thread_writes_without_a_handler(capsys, tmp_path):
     assert target.read_bytes() == render_pgm(2, 5)
 
 
-# the battery's entries with NIM_TRIPLE_MAX_K unset, by argv
-_BATTERY = {tuple(e["argv"]): e for e in GOLDEN_ENTRIES if e[golden.MAX_K_ENV] is None}
-_HELP, _SUM_HELP = _BATTERY["-h",]["stdout"], _BATTERY["sum", "-h"]["stdout"]
-_FROG = _BATTERY["sum", "1", "frog"]
+_HELP, _SUM_HELP = GOLDEN_BY_ARGV["-h",]["stdout"], GOLDEN_BY_ARGV["sum", "-h"]["stdout"]
+_FROG = GOLDEN_BY_ARGV["sum", "1", "frog"]
 _EBADF, _ENOSPC = (
     f"error: cannot write stdout: [Errno {number}] {os.strerror(number)}\n"
     for number in (errno.EBADF, errno.ENOSPC)
@@ -194,13 +197,13 @@ STREAMS = [
     _row(("-h",), "full", "pipe", 1, None, _ENOSPC),
     # fd 1 closed at start: sys.stdout is None, print drops its line, and help goes to stderr
     _row(("sum", "5", "3"), "closed", "pipe", 0, None, ""),
-    _row(("table", "1025"), "closed", "pipe", 3, None, _BATTERY["table", "1025"]["stderr"]),
+    _row(("table", "1025"), "closed", "pipe", 3, None, GOLDEN_BY_ARGV["table", "1025"]["stderr"]),
     _row(("-h",), "closed", "pipe", 0, None, _HELP),
     _row(("sum", "-h"), "closed", "pipe", 0, None, _SUM_HELP),
     # a stderr that fails, read-only or closed at start: the battery's stdout and exit code,
     # and neither an error line nor a usage line falls back to stdout
     *(
-        _row(argv, "pipe", fd2, _BATTERY[argv]["exit"], _BATTERY[argv]["stdout"], None)
+        _row(argv, "pipe", fd2, GOLDEN_BY_ARGV[argv]["exit"], GOLDEN_BY_ARGV[argv]["stdout"], None)
         for argv in [
             ("table", "1025"),
             ("mex", "0x100000", "1"),
@@ -261,7 +264,7 @@ def test_failing_stream(tmp_path, argv, fd1, fd2, code, out, err, unbuffered):
         assert (proc.communicate(timeout=60), proc.returncode) == ((out, err), code)
     # the read-only files stay empty, and the working directory holds what the battery's run
     # wrote, or nothing where the argv has no entry
-    written = _BATTERY[argv]["files"] if argv in _BATTERY else {}
+    written = GOLDEN_BY_ARGV[argv]["files"] if argv in GOLDEN_BY_ARGV else {}
     left = {path.name: golden._digest(path.read_bytes()) for path in tmp_path.iterdir()}
     assert left == {**dict.fromkeys(read_only, golden._digest(b"")), **written}
 

@@ -3,9 +3,9 @@
 A count, a cap or a command that the README copies from elsewhere is read
 from its source here, so the prose cannot drift from it: the battery's
 size and its corner draws, the number of argvs ``tools/golden.py --against``
-replays, the cap ledger's values and the commands that reach them, the
-command-line examples and the Library block's stated values, run here, and
-the criteria of the acceptance block.
+replays, the cap ledger's values and the commands that reach them, each
+command-line example against its battery entry, the Library block's stated
+values, run here, and the criteria of the acceptance block.
 Each verdict line of that block is checked against the suite's own output by
 ``report`` in ``tests/test_acceptance.py``.
 """
@@ -16,9 +16,8 @@ import shlex
 
 import pytest
 
-from conftest import GOLDEN_ENTRIES, README, ROOT, acceptance_block, golden
+from conftest import GOLDEN_BY_ARGV, GOLDEN_ENTRIES, README, ROOT, acceptance_block, golden
 from nimtriples import limits
-from nimtriples.cli import main
 
 
 def _stated(pattern: str) -> int:
@@ -111,11 +110,9 @@ def test_readme_lists_every_command():
 @pytest.mark.parametrize(
     "argv,expected", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
 )
-def test_readme_example(capsys, monkeypatch, tmp_path, argv, expected):
-    monkeypatch.chdir(tmp_path)
-    code = main(argv)
-    out, err = capsys.readouterr()
-    assert (code, out.splitlines(), err) == (0, expected, "")
+def test_readme_example(argv, expected):
+    entry = GOLDEN_BY_ARGV[tuple(argv)]
+    assert (entry["exit"], entry["stdout"].splitlines(), entry["stderr"]) == (0, expected, "")
 
 
 # the Library block: its imports, then one call a line whose comment states, up to any

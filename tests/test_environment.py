@@ -8,10 +8,8 @@ no byte either.
 """
 
 import json
-import subprocess
-import sys
 
-from conftest import child_env, golden
+from conftest import golden, run_child
 
 
 _CHILD = """
@@ -28,14 +26,10 @@ def test_output_ignores_the_locale(tmp_path):
     # under LC_ALL=C without UTF-8 mode stderr is ASCII, and a non-ASCII
     # character would come out as a backslash escape
     unset = dict.fromkeys(("PYTHONIOENCODING", "PYTHONUTF8", "COLUMNS", "PYTHONINTMAXSTRDIGITS"))
-    runs = []
+    feed, runs = json.dumps(golden._ENVIRONMENT).encode(), []
     for flags, extra in (([], {}), (["-X", "utf8=0"], {"LC_ALL": "C"})):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-c", _CHILD],
-            input=json.dumps(golden._ENVIRONMENT).encode(),
-            capture_output=True,
-            env=child_env(**unset, **extra),
-            cwd=tmp_path,
+        proc = run_child(
+            *flags, "-c", _CHILD, input=feed, env={**unset, **extra}, text=False, cwd=tmp_path,
             timeout=120,
         )
         runs.append((proc.returncode, proc.stdout, proc.stderr, (tmp_path / "x.pgm").read_bytes()))

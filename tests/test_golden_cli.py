@@ -12,12 +12,11 @@ all three must give its entry, and each run must leave the caller's decimal
 limit as it found it.
 """
 
-import subprocess
 import sys
 
 import pytest
 
-from conftest import GOLDEN_ENTRIES, child_env, golden
+from conftest import GOLDEN_ENTRIES, golden, run_child
 
 BATTERY = golden.battery()
 
@@ -54,7 +53,6 @@ def test_against_a_tree_without_the_package_replays_nothing(capsys, monkeypatch,
     assert capsys.readouterr() == ("", f"{tmp_path} has no src/nimtriples package to replay\n")
     # and a child given that src stops at its import, before its first draw
     src = str(tmp_path / "src")
-    child = [sys.executable, golden.__file__, "--replay", src]
-    proc = subprocess.run(child, capture_output=True, text=True, env=child_env(), timeout=60)
+    proc = run_child(golden.__file__, "--replay", src)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith(f"{src} holds no nimtriples: ")

@@ -21,34 +21,25 @@ what the command adds and that nothing in the process loads ``typing``,
 ``locale`` or ``textwrap``: the command line reads its argv itself.
 
 Each check runs in a fresh interpreter, because the test process may have
-loaded any of these long before.  Nothing here asserts a timing.  The bytes
-each command writes without numpy are the golden battery's, which CI
-replays with numpy uninstalled.
+loaded any of these long before.  Nothing here asserts a timing.  Each
+child's exit code and stdout are its argv's battery entry, which CI also
+replays with numpy uninstalled.  The package imports itself only by
+relative imports, so a copy of it under another name loads its own modules.
 """
 
 import ast
 import json
-import subprocess
-import sys
 
 import pytest
 
-from conftest import SRC, child_env
-from nimtriples.cli import main
+from conftest import GOLDEN_BY_ARGV, SRC, run_child
 
 PACKAGE = SRC / "nimtriples"
 
 
 def fresh(code, *args, cwd=None, read=json.loads, flags=()):
     """``read`` of what ``code`` printed, run in a new interpreter that imports from src."""
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", code, *args],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        cwd=cwd,
-        timeout=60,
-    )
+    proc = run_child(*flags, "-c", code, *args, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return read(proc.stdout)
 
@@ -126,7 +117,7 @@ print(repr([added, code, out, loaded]))
         "census", "census-check", "render", "census-capped", "render-capped",
     ],
 )
-def test_command_loads_only_its_own_modules(tmp_path, capsys, monkeypatch, argv, loads, as_json):
+def test_command_loads_only_its_own_modules(tmp_path, argv, loads, as_json):
     argv = ["--json", *argv] if as_json else argv
     added, code, out, watched = fresh(
         _MODULES_CHILD, *argv, cwd=tmp_path, read=ast.literal_eval, flags=["-S"]
@@ -138,9 +129,9 @@ def test_command_loads_only_its_own_modules(tmp_path, capsys, monkeypatch, argv,
     expected = {f"nimtriples.{name}" for name in loads} | formats | handles
     assert set(added) & _OPTIONAL == expected
     assert watched == []
-    # the same bytes as a run in this process, where every module is loaded
-    monkeypatch.chdir(tmp_path)
-    assert (code, out) == (main(argv), capsys.readouterr().out)
+    # the bytes the battery records for the argv, where every module is loaded
+    entry = GOLDEN_BY_ARGV[tuple(argv)]
+    assert (code, out) == (entry["exit"], entry["stdout"])
 
 
 # The home submodule of each public name, where ``from nimtriples import name`` finds it.
@@ -262,28 +253,29 @@ def _package_places(found):
     )
 
 
-def _loads_numpy(node):
-    """Whether ``node`` imports numpy: by a statement, or by a call of ``__import__`` or
-    ``importlib.import_module`` with a constant name."""
-    if isinstance(node, ast.Import):
-        names = [alias.name for alias in node.names]
-    elif isinstance(node, ast.ImportFrom) and node.level == 0:
-        names = [node.module]
-    elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
-        called = getattr(node.func, "id", getattr(node.func, "attr", None))
-        names = [node.args[0].value] if called in {"__import__", "import_module"} else []
-    else:
-        names = []
-    return any(str(name).split(".")[0] == "numpy" for name in names)
+def _imports(*tops):
+    """Whether a node imports a module under one of ``tops`` by its absolute name: by a
+    statement, or by a call of ``__import__`` or ``importlib.import_module`` with a constant."""
+
+    def found(node):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            names = [node.args[0].value] if called in {"__import__", "import_module"} else []
+        else:
+            names = []
+        return any(str(name).split(".")[0] in tops for name in names)
+
+    return found
 
 
 def _for_annotations_only(node):
     """Whether ``node`` imports ``typing`` or ``__future__``, or names ``TYPE_CHECKING``."""
-    if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] in {"typing", "__future__"} for alias in node.names)
-    if isinstance(node, ast.ImportFrom):
-        return node.level == 0 and node.module.split(".")[0] in {"typing", "__future__"}
-    return isinstance(node, ast.Name) and node.id == "TYPE_CHECKING"
+    named = isinstance(node, ast.Name) and node.id == "TYPE_CHECKING"
+    return named or _imports("typing", "__future__")(node)
 
 
 def test_no_module_imports_typing_or_future():
@@ -293,7 +285,12 @@ def test_no_module_imports_typing_or_future():
 
 def test_only_classification_grid_imports_numpy():
     # on every path of every command
-    assert _package_places(_loads_numpy) == ["render.classification_grid"]
+    assert _package_places(_imports("numpy")) == ["render.classification_grid"]
+
+
+def test_the_package_imports_itself_only_relatively():
+    # so the package loads under any name, as a second copy of it beside this one would
+    assert _package_places(_imports("nimtriples")) == []
 
 
 _ENVIRON = {"environ", "environb", "getenv", "getenvb"}

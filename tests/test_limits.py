@@ -1,11 +1,10 @@
 import os
-import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
-from conftest import WIDE, block_kernel, child_env, needs_numpy
+from conftest import WIDE, block_kernel, needs_numpy, run_child
 from nimtriples import (
     MEX_ENUMERATION_CAP,
     CapExceeded,
@@ -211,12 +210,5 @@ def test_table_at_its_cap_stays_under_12_bytes_a_cell():
     # tracemalloc slows this fill about 24 times, so a child reports its peak resident size;
     # the rows hold n * n pointers, 8 bytes a cell and an eighth more spare, and the cells
     # share 2n - 1 int objects
-    proc = subprocess.run(
-        [sys.executable, "-c", _TABLE_RSS, str(TABLE_MAX_N)],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        timeout=60,
-        check=True,
-    )
+    proc = run_child("-c", _TABLE_RSS, str(TABLE_MAX_N), check=True)
     assert int(proc.stdout) * 1024 < 12 * TABLE_MAX_N**2

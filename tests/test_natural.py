@@ -54,16 +54,6 @@ def test_parse_round_trips_hex_and_binary():
         assert parse_natural(hex(x)) == parse_natural(bin(x)) == x, x
 
 
-def test_nim_sum_examples():
-    assert nim_sum(0, 5) == 5
-    assert nim_sum(13, 13) == 0
-    assert nim_sum(5, 3) == 6
-
-
-def test_nim_sum_wide_disjoint_supports():
-    assert nim_sum(1 << 70, 1) == (1 << 70) + 1
-
-
 def test_require_natural_returns_a_natural_as_is():
     for x in _NATURALS:
         assert require_natural(x) is x, x
@@ -176,19 +166,6 @@ def test_refusal_echoes_the_value_short(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
-
-
-def test_bit_examples():
-    assert bit(5, 0) == 1
-    assert bit(5, 1) == 0
-    assert bit(5, 2) == 1
-    assert bit(5, 63) == 0
-
-
-def test_bit_wide():
-    assert bit(1 << 70, 70) == 1
-    assert bit(1 << 70, 69) == 0
-    assert bit(1 << 70, 71) == 0
 
 
 _GRAMMAR = re.compile(r"\s*(?:0[xX]([0-9a-fA-F]+)|0[bB]([01]+)|([0-9]+))\s*")

@@ -83,16 +83,6 @@ def test_all_ones_triangle_is_tight():
     assert result.discriminant == 0
 
 
-def test_zero_triangle_is_flat():
-    assert classify_triangle(0, 0, 0).kind is TriangleClass.FLAT
-
-
-def test_discriminant_examples():
-    assert classify_triangle(3, 1, 2).discriminant is None
-    assert classify_triangle(5, 1, 2).discriminant == 2
-    assert classify_triangle(1, 1, 1).discriminant == 0
-
-
 def _scan_discriminant(a, b, c):
     # literal definition: largest digit position where a disagrees with b XOR c
     for i in reversed(range(max(a.bit_length(), b.bit_length(), c.bit_length()))):
@@ -104,17 +94,6 @@ def _scan_discriminant(a, b, c):
 def test_discriminant_matches_digit_scan():
     for t in _triples(8):
         assert classify_triangle(*t).discriminant == _scan_discriminant(*t), t
-
-
-def test_case_table_rows_verbatim():
-    assert case_table_lookup(1, 1, 1) == (L, L, L)
-    assert case_table_lookup(1, 0, 0) == (L, S, S)
-    assert case_table_lookup(0, 1, 0) == (S, L, S)
-    assert case_table_lookup(0, 0, 1) == (S, S, L)
-    assert case_table_lookup(1, 1, 0) is None
-    assert case_table_lookup(1, 0, 1) is None
-    assert case_table_lookup(0, 1, 1) is None
-    assert case_table_lookup(0, 0, 0) is None
 
 
 def test_case_table_contradiction_rule():

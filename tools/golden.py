@@ -236,6 +236,9 @@ _EDGES = [
     (["sum", "1", "2"], "banana"),
     (["render", "1", "0", "--out", "x.pgm"], "banana"),
     (["census", "1"], ""),
+    # a cap reached under --json: the cap's line, and no JSON
+    (["--json", "census", "8"], None),
+    (["--json", "render", "13", "0", "--out", "capped.pgm"], None),
 ]
 
 # The argv generator of the fuzz section, and of tests/test_cli_fuzz.py, which
