@@ -9,8 +9,8 @@ that needs the variable sets it itself.  ``child_env`` is the one environment
 of a child interpreter and ``run_child`` the one way to run one to its end,
 ``golden`` is ``tools/golden.py``, loaded once, ``GOLDEN_ENTRIES`` the battery
 it recorded in ``tests/golden_cli.json``, and ``GOLDEN_BY_ARGV`` its entries
-with ``NIM_TRIPLE_MAX_K`` unset, by argv: the one record of what an argv
-writes.
+with ``NIM_TRIPLE_MAX_K`` unset, by argv: the battery holds each argv once,
+so its entry is the one record of what the argv writes.
 """
 
 import importlib.util

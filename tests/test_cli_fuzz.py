@@ -12,9 +12,9 @@ the battery's fuzz section, under a seed of their own: the eight command
 names, the real flags, the removed ``--timing``, numbers in every accepted
 spelling (negative, past 64 bits and past the CLI's decimal digit limit too)
 and junk, as loose tokens or shaped like a real call.  Lists of arbitrary
-text are a loop of their own.  Each argv runs through ``record``, as a
-battery entry does, with ``NIM_TRIPLE_MAX_K`` at 4, so widths are capped at
-4; small operands stay at 64 or below, so each argv runs in about a
+text are a loop of their own.  Each distinct argv runs once through ``record``,
+as a battery entry does, with ``NIM_TRIPLE_MAX_K`` at 4, so widths are capped
+at 4; small operands stay at 64 or below, so each argv runs in about a
 millisecond, and the wide operands only ever reach a cap or the output limit.
 """
 
@@ -59,8 +59,8 @@ def workdir(tmp_path_factory):
 
 def test_every_argv_exits_0_to_3(workdir):
     rng = random.Random(SEED)
-    for _ in range(DRAWS):
-        assert_contract(golden.record(golden._draw(rng), "4", workdir))
+    for argv, max_k in golden.distinct((golden._draw(rng), "4") for _ in range(DRAWS)):
+        assert_contract(golden.record(argv, max_k, workdir))
 
 
 # the code points of a text argv, a third from each: _draw's junk, below and above the surrogates
@@ -73,5 +73,6 @@ def _text(rng):
 
 def test_every_text_argv_exits_0_to_3(workdir):
     rng = random.Random(SEED)
-    for _ in range(DRAWS):
-        assert_contract(golden.record([_text(rng) for _ in range(rng.randint(0, 6))], "4", workdir))
+    drawn = (([_text(rng) for _ in range(rng.randint(0, 6))], "4") for _ in range(DRAWS))
+    for argv, max_k in golden.distinct(drawn):
+        assert_contract(golden.record(argv, max_k, workdir))

@@ -31,12 +31,17 @@ def test_battery_count_is_the_battery_size():
     assert stated == len(GOLDEN_ENTRIES)
 
 
-def test_corner_count_is_the_corner_draws():
-    assert _stated(r"among them (\d+)\s+drawn from those corners") == golden.CORNER_DRAWS
+def test_corner_count_is_the_corner_draws(monkeypatch):
+    ((kept, drawn),) = re.findall(r"the (\d+) kept of (\d+) draws from those corners", README)
+    assert int(drawn) == golden.CORNER_DRAWS
+    # the corner draws the battery keeps are the entries it loses without them
+    monkeypatch.setattr(golden, "CORNER_DRAWS", 0)
+    assert int(kept) == len(GOLDEN_ENTRIES) - len(golden.battery())
 
 
 def test_seeded_argv_count_is_the_draws_default():
-    assert _stated(r"replays (\d+) seeded argvs") == golden.AGAINST_DRAWS
+    assert _stated(r"replays (\d+) seeded argvs") == len(golden.draws())
+    assert _stated(r"the distinct ones of (\d+) draws") == golden.AGAINST_DRAWS
 
 
 def _ledger_value(text: str) -> int:

@@ -27,7 +27,22 @@ def workdir(tmp_path_factory):
 
 
 def test_the_battery_has_one_entry_per_argv():
-    assert len(GOLDEN_ENTRIES) == len(BATTERY)
+    # the file's pairs are battery()'s, each once, with a long token shown as record shows it
+    pairs = [(entry["argv"], entry[golden.MAX_K_ENV]) for entry in GOLDEN_ENTRIES]
+    assert len(golden.distinct(pairs)) == len(pairs)
+    assert pairs == [
+        ([golden._shown(token) for token in argv], max_k and golden._shown(max_k))
+        for argv, max_k in BATTERY
+    ]
+    # each written-out argv is at its own section's index, so a repeat fails, not drops
+    for written in (
+        [(argv, None) for argv in golden._ENVIRONMENT],
+        golden._CAPS,
+        [(argv, None) for argv in golden._USAGE],
+        golden._EDGES,
+    ):
+        start = BATTERY.index(written[0])
+        assert BATTERY[start : start + len(written)] == written
 
 
 @pytest.mark.parametrize("index", range(len(GOLDEN_ENTRIES)))

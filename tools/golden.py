@@ -5,33 +5,38 @@ working directory, with ``NIM_TRIPLE_MAX_K`` set as the entry says or unset.
 A file the run writes is recorded by its SHA-256 and removed, and a stdout
 longer than ``LONG`` characters by its SHA-256 and length.  An argv token
 longer than ``LONG`` characters is shown by its length and SHA-256, so the
-file stays small; the argvs themselves come from ``battery()``.
+file stays small; the argvs themselves come from ``battery()``, which keeps
+the first entry of each (argv, ``NIM_TRIPLE_MAX_K``) and drops a repeat, so
+each is recorded once.
 
     python tools/golden.py          # compare the checkout's CLI with tests/golden_cli.json
     python tools/golden.py --write  # regenerate tests/golden_cli.json
     python tools/golden.py --against TREE  # this checkout's CLI against TREE's
 
-``--against`` replays ``AGAINST_DRAWS`` seeded argvs, half each from
-``_draw`` and ``_wide_corner``, through this checkout's ``main`` and through
-the one in the checkout at TREE, each in a child process of its own since
-both packages are named ``nimtriples``, and prints every argv whose entry
-differs.  A TREE without a ``src/nimtriples`` package is refused before any
-replay, and a child whose import reaches a package outside the ``src`` it
-was given stops, so neither replays this checkout in TREE's place.
+``--against`` replays the distinct ones of ``AGAINST_DRAWS`` seeded argvs,
+drawn from ``_draw`` and ``_wide_corner`` in turn, through this checkout's
+``main`` and through the one in the checkout at TREE, each in a child process
+of its own since both packages are named ``nimtriples``, and prints every
+argv whose entry differs.  A TREE without a ``src/nimtriples`` package is
+refused before any replay, and a child whose import reaches a package outside
+the ``src`` it was given stops, so neither replays this checkout in TREE's
+place.
 
 ``tests/test_golden_cli.py`` makes the same comparison entry by entry, once
 as the shell leaves it and once under each of two terminal widths and
 decimal limits, and it is the one test of what an argv writes: a new argv to
 check becomes an entry of ``_EDGES``, the last section, so every earlier
-entry keeps its index.  ``tests/test_cli.py`` keeps only what a run in
-process cannot show, and ``tests/test_environment.py`` runs only
-``_ENVIRONMENT`` again, in child processes, under ``LC_ALL=C``.  The fuzz
-section's argvs come from ``_draw``, which ``tests/test_cli_fuzz.py`` also
-runs through ``record``, with a seed of its own; that test also holds every
-entry of the file to the exit contract.  CI runs the comparison once more
-after uninstalling numpy, so every argv is also checked without it.  A
-change that alters the bytes on purpose regenerates the file, and the diff
-of the file is the record of what changed.  Standard library only.
+entry keeps its index.  The argv must be new to the battery: one written out
+in a section that repeats an earlier entry fails that test instead of being
+dropped.  ``tests/test_cli.py`` keeps only what a run in process cannot
+show, and ``tests/test_environment.py`` runs only ``_ENVIRONMENT`` again, in
+child processes, under ``LC_ALL=C``.  The fuzz section's argvs come from
+``_draw``, which ``tests/test_cli_fuzz.py`` also runs through ``record``,
+with a seed of its own; that test also holds every entry of the file to the
+exit contract.  CI runs the comparison once more after uninstalling numpy,
+so every argv is also checked without it.  A change that alters the bytes on
+purpose regenerates the file, and the diff of the file is the record of what
+changed.  Standard library only.
 """
 
 import argparse
@@ -103,7 +108,8 @@ _KINDS = [
     ["render", "2", "5", "--out", "r.pgm"],
 ]
 
-# One refusal per cap, and the NIM_TRIPLE_MAX_K grammar and range, as (argv, NIM_TRIPLE_MAX_K).
+# One refusal per cap, and the NIM_TRIPLE_MAX_K grammar and range, as (argv, NIM_TRIPLE_MAX_K);
+# the decimal limit's refusal, sum WIDE 1, is _ENVIRONMENT's.
 _CAPS = [
     (["mex", "0x100000", "1"], None),
     (["table", "1025"], None),
@@ -116,7 +122,6 @@ _CAPS = [
     (["census", "11", "--check-closed-form"], "16"),
     (["render", "13", "0", "--out", "capped.pgm"], None),
     (["render", "17", "0", "--out", "capped.pgm"], "16"),
-    (["sum", WIDE, "1"], None),
 ]
 
 # Each shape of usage error, and the corners of the grammar.
@@ -153,10 +158,11 @@ _USAGE = [
 
 # Each command at its edges, the operand grammar, the NIM_TRIPLE_MAX_K range and
 # operands too wide for decimal, as (argv, NIM_TRIPLE_MAX_K).  The battery's last
-# section: a new argv goes at its end, and every earlier entry keeps its index.
+# section: a new argv goes at its end, and every earlier entry keeps its index.  It
+# must be new to the battery, as every argv written out here and in _ENVIRONMENT,
+# _CAPS and _USAGE must: battery() would drop a repeat, and a test fails instead.
 _EDGES = [
     (["sum", "0x1f", "0b10"], None),
-    (["table", "2"], None),
     (["--json", "table", "2"], None),
     (["table", "8", "--verify"], None),
     (["table", "1000", "--verify"], None),  # checked against rows padded to 1024
@@ -165,7 +171,6 @@ _EDGES = [
     (["--json", "move", "3", "1", "2"], None),
     (["move", "1", "2", "3", "--all"], None),
     (["move", "1", "2", "--all"], None),
-    (["census", "1"], None),
     (["--json", "census", "1"], None),
     (["census", "2", "--check-closed-form"], None),
     (["census", "0"], None),
@@ -320,16 +325,26 @@ def _wide_corner(rng):
     return tokens
 
 
+def distinct(pairs) -> list[tuple[list[str], str | None]]:
+    """The first of each (argv, NIM_TRIPLE_MAX_K) in ``pairs``, in order: a repeat is dropped."""
+    first = {}
+    for argv, max_k in pairs:
+        first.setdefault((tuple(argv), max_k), (argv, max_k))
+    return list(first.values())
+
+
 def draws() -> list[tuple[list[str], str | None]]:
-    """The seeded (argv, NIM_TRIPLE_MAX_K) of --against, from each generator in turn."""
+    """The distinct seeded (argv, NIM_TRIPLE_MAX_K) of --against, from each generator in turn."""
     rng, kinds = random.Random(AGAINST_SEED), [(_draw, "4"), (_wide_corner, None)]
-    return [(draw(rng), max_k) for i in range(AGAINST_DRAWS) for draw, max_k in [kinds[i % 2]]]
+    return distinct(
+        (draw(rng), max_k) for i in range(AGAINST_DRAWS) for draw, max_k in [kinds[i % 2]]
+    )
 
 
 def battery() -> list[tuple[list[str], str | None]]:
-    """Every (argv, NIM_TRIPLE_MAX_K) of the battery, in file order; the draws are seeded."""
+    """Each (argv, NIM_TRIPLE_MAX_K) of the battery once, in file order; the draws are seeded."""
     rng, corners = random.Random(FUZZ_SEED), random.Random(CORNER_SEED)
-    return [
+    return distinct([
         *((argv, None) for argv in _ENVIRONMENT),
         *((argv, None) for argv in _KINDS),
         *((["--json", *argv], None) for argv in _KINDS),
@@ -338,7 +353,7 @@ def battery() -> list[tuple[list[str], str | None]]:
         *((_draw(rng), "4") for _ in range(FUZZ_DRAWS)),
         *((_wide_corner(corners), None) for _ in range(CORNER_DRAWS)),
         *_EDGES,
-    ]
+    ])
 
 
 def _digest(data: bytes) -> str:
@@ -422,7 +437,7 @@ def main() -> int:
         for mine, theirs in changed:
             print(f"differs: {mine['argv']!r}\n  here:  {mine!r}\n  there: {theirs!r}")
         print(f"{len(changed)} of {len(here)} argvs differ from {args.against}")
-        return int(bool(changed) or len(here) != AGAINST_DRAWS)
+        return int(bool(changed) or len(here) != len(draws()))
     with tempfile.TemporaryDirectory() as workdir:
         entries = [record(argv, max_k, workdir) for argv, max_k in battery()]
     if args.write:
