@@ -1,7 +1,9 @@
 """What the test modules share: the environment a test runs in, the golden battery, the
 README, ``needs_numpy``, the kernel block, two non-int probes, the 16000-bit ``WIDE``, and
-the naturals that more than one module draws, each from a ``random.Random`` of constant
-seed, so each run checks the same cases.
+the naturals that more than one module draws: ``WORD_EDGES``, and ``of_width`` and
+``random_entry``, which draw from the caller's ``random.Random`` of constant seed, so each
+run checks the same cases.  ``test_acceptance`` and ``test_triangles`` use all three,
+``test_natural`` the first two.
 
 ``NIM_TRIPLE_MAX_K`` is removed for every test, so a ``main`` run in process
 caps census and render at their defaults whatever the shell exports; a test

@@ -1,7 +1,19 @@
-"""The byte-grid kernel against classify_triangle, the row lemma and its own block tables."""
+"""Every byte route to a grid of classes against ``classify_triangle``, over one set of grids.
+
+``GRIDS`` holds each k with the fixed c of its grids, and ``classified(k, c)``
+is the one reference grid: the gray level of ``classify_triangle``'s class for
+each cell (a, b, c), row by row.  Every byte route must give it:
+``_kernel.pieces`` joined where c < 2**k, and after the PGM header
+``render._pgm_chunks`` joined, ``render_pgm`` and the file that ``render``
+writes through ``main``; under ``needs_numpy``, ``classification_grid`` gives
+its bytes as a writable (2**k, 2**k) uint8 array.  The other tests hold what
+one reference grid cannot: rows of k = 12 grids, the row lemma cell by cell,
+how many pieces a grid is and how long, and the bytes of four renders.
+"""
 
 import hashlib
 import random
+from functools import cache
 from itertools import product
 
 import pytest
@@ -16,40 +28,47 @@ from nimtriples import (
     render_pgm,
 )
 from nimtriples import _kernel
+from nimtriples.cli import main
 from nimtriples.render import _pgm_chunks
 
 WIDE_C = (1 << 61, 1 << 62, 1 << 70)
 
+# each k with the fixed c of its grids: every c below 2**(k+1) + 2 and the three wide ones
+# up to k = 5, and the full grids of k = 8 and 9
+GRIDS = {k: [*range((2 << k) + 2), *WIDE_C] for k in range(6)} | {8: [255], 9: [511]}
 
-def test_gray_levels_are_distinct():
-    assert len(set(GRAY_LEVELS.values())) == 3
-    assert GRAY_LEVELS[TriangleClass.FLAT] == 255
-    assert GRAY_LEVELS[TriangleClass.TIGHT] == 170
-    assert GRAY_LEVELS[TriangleClass.LOOSE] == 85
+
+@cache
+def classified(k, c):
+    """The grid of (a, b, c), a, b < 2**k, row by row: the gray level of each cell's class."""
+    cells = product(range(1 << k), repeat=2)
+    return bytes(GRAY_LEVELS[classify_triangle(a, b, c).kind] for a, b in cells)
+
+
+@pytest.mark.parametrize(("k", "cs"), GRIDS.items(), ids=GRIDS)
+def test_every_byte_route_gives_the_classified_grid(tmp_path, k, cs):
+    header = b"P5\n%d %d\n255\n" % (1 << k, 1 << k)
+    kinds = (TriangleClass.FLAT, TriangleClass.TIGHT, TriangleClass.LOOSE)  # pieces' order
+    levels = [GRAY_LEVELS[kind] for kind in kinds]
+    target = tmp_path / "grid.pgm"
+    for c in cs:
+        cells = classified(k, c)
+        if c < 1 << k:
+            assert b"".join(_kernel.pieces(k, c, *levels)) == cells, (k, c)
+        assert b"".join(_pgm_chunks(k, c, None)) == header + cells, (k, c)
+        assert render_pgm(k, c) == header + cells, (k, c)
+        assert main(["render", str(k), str(c), "--out", str(target)]) == 0, (k, c)
+        assert target.read_bytes() == header + cells, (k, c)
 
 
 @needs_numpy
-@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
-def test_grid_matches_classify_for_every_small_and_wide_c(k):
+@pytest.mark.parametrize(("k", "cs"), GRIDS.items(), ids=GRIDS)
+def test_classification_grid_is_the_classified_grid(k, cs):
     n = 1 << k
-    for c in [*range(2 * n + 2), *WIDE_C]:
+    for c in cs:
         grid = classification_grid(k, c)
-        for a, b in product(range(n), repeat=2):
-            assert grid[a, b] == GRAY_LEVELS[classify_triangle(a, b, c).kind], (k, c, a, b)
-
-
-@needs_numpy
-@pytest.mark.parametrize("k", [8, 9])
-def test_full_grid_matches_classify_and_wide_c_is_all_loose(k):
-    n = 1 << k
-    grid = classification_grid(k, n - 1, max_k=k)
-    for a, b in product(range(n), repeat=2):
-        assert grid[a, b] == GRAY_LEVELS[classify_triangle(a, b, n - 1).kind]
-    for c in (n, *WIDE_C):
-        grid = classification_grid(k, c, max_k=k)
-        assert (grid == GRAY_LEVELS[TriangleClass.LOOSE]).all()
-        for a, b in ((0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1)):
-            assert classify_triangle(a, b, c).kind is TriangleClass.LOOSE
+        assert grid.dtype == "uint8" and grid.shape == (n, n) and grid.flags.writeable, (k, c)
+        assert grid.tobytes() == classified(k, c), (k, c)
 
 
 def test_render_rows_at_k12_match_classify():
@@ -83,62 +102,6 @@ def test_pieces_are_few_and_none_as_long_as_a_row():
             cells = _kernel.pieces(k, s, 0, 1, 2)
             assert len(cells) == 2 * n + (1 << k - k // 2), (k, s)
             assert max(map(len, cells)) <= n - m, (k, s)
-
-
-def _joined_blocks(u, bits, s, size, tight, loose):
-    # the definition of a block table's entry: one join over the 0 digits of u
-    return b"".join((loose, tight)[s >> j & 1] * (size << j) for j in range(bits) if not u >> j & 1)
-
-
-def _pieces_joined_per_row(k, s, flat, tight, loose):
-    # pieces as built with one join per small row and one per run, no tables
-    lo = k // 2
-    hi, m = k - lo, 1 << lo
-    flat, tight, loose = bytes([flat]), bytes([tight]), bytes([loose])
-    rows = [
-        loose * (u := s % m ^ x) + flat + _joined_blocks(u, lo, s, 1, tight, loose) for x in range(m)
-    ]
-    grid = []
-    for u in (s >> lo ^ x for x in range(1 << hi)):
-        before, after = loose * (u * m), _joined_blocks(u, hi, s >> lo, m, tight, loose)
-        run = [after + before] * (2 * m + 1)
-        run[0], run[1::2], run[-1] = before, rows, after
-        grid += run
-    return grid
-
-
-@pytest.mark.parametrize("size", [1, 4])
-@pytest.mark.parametrize("bits", range(7))
-def test_block_table_entry_u_is_the_join_over_the_0_digits_of_u(bits, size):
-    for s in range(1 << bits + 1):
-        table = _kernel._blocks(bits, s, size, b"T", b"L")
-        assert len(table) == 1 << bits
-        for u, entry in enumerate(table):
-            assert entry == _joined_blocks(u, bits, s, size, b"T", b"L"), (bits, s, size, u)
-
-
-@pytest.mark.parametrize("k", range(9))
-def test_pieces_equal_the_pieces_joined_per_row(k):
-    for s in range(1 << k):
-        assert _kernel.pieces(k, s, 0, 1, 2) == _pieces_joined_per_row(k, s, 0, 1, 2), (k, s)
-
-
-@pytest.mark.parametrize("k", range(7))
-def test_render_pgm_is_its_pgm_chunks_joined(k):
-    for c in [*range(2 * (1 << k) + 2), *WIDE_C]:
-        assert render_pgm(k, c) == b"".join(_pgm_chunks(k, c, None)), (k, c)
-
-
-@needs_numpy
-@pytest.mark.parametrize("k", range(7))
-def test_pgm_chunks_render_and_grid_assemble_the_same_cells(k):
-    # the grid's fill or join, against render_pgm's, which is the CLI's pieces joined
-    n = 1 << k
-    for c in [*range(2 * n + 2), *WIDE_C]:
-        data = render_pgm(k, c)
-        grid = classification_grid(k, c)
-        assert grid.dtype == "uint8" and grid.shape == (n, n) and grid.flags.writeable, (k, c)
-        assert data[-(n * n) :] == grid.tobytes(), (k, c)
 
 
 @pytest.mark.parametrize(

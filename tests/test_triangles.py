@@ -1,3 +1,14 @@
+"""Every scalar route to a triangle's class against ``classify_triangle``, over one set of triples.
+
+``ROUTES`` holds one check per route, and each runs over all of ``TRIPLES``:
+the bit rule against the comparison definition of ``classify_vertex``, the
+discriminant against a scan of the digits, ``reorder_dominant``,
+``winning_moves`` and ``advise_move`` against the statuses, and the
+classification of each permutation of the triple.  The case table's route is
+checked against the classifier's statuses in ``tests/test_acceptance.py``,
+exhaustively under 32 and at these widths.
+"""
+
 import random
 from itertools import permutations, product
 
@@ -7,24 +18,37 @@ from nimtriples import (
     CASE_TABLE,
     TriangleClass,
     VertexStatus,
+    advise_move,
     bit,
     case_table_lookup,
     classify_triangle,
     classify_vertex,
     reorder_dominant,
+    winning_moves,
 )
 
-from conftest import WORD_EDGES, of_width
+from conftest import WORD_EDGES, of_width, random_entry
 
 L, A, S = VertexStatus.LARGE, VertexStatus.ALIGNED, VertexStatus.SMALL
 
 
-def _triples(side):
-    """Every triple of entries below ``side`` and every triple of word edges, then 1000 seeded
-    ones of 1 to 300 bits an entry."""
-    rng = random.Random(side)
+def _triples():
+    """Every triple of entries below 16 and every triple of word edges, then 1000 seeded ones
+    of 1 to 300 bits an entry and 1000 drawn by ``random_entry``; each also flat, with
+    c = a ^ b, and each once."""
+    rng = random.Random(300)
     seeded = [tuple(of_width(rng, rng.randrange(1, 301)) for _ in range(3)) for _ in range(1000)]
-    return [*product(range(side), repeat=3), *product(WORD_EDGES, repeat=3), *seeded]
+    drawn = [tuple(random_entry(rng) for _ in range(3)) for _ in range(1000)]
+    base = [*product(range(16), repeat=3), *product(WORD_EDGES, repeat=3), *seeded, *drawn]
+    return list(dict.fromkeys(t for a, b, c in base for t in ((a, b, c), (a, b, a ^ b))))
+
+
+TRIPLES = _triples()
+
+# the index pairs of the other two entries, vertex by vertex
+_OTHERS = ((1, 2), (0, 2), (0, 1))
+# the class by the number of large vertices
+_KINDS = {0: TriangleClass.FLAT, 1: TriangleClass.LOOSE, 3: TriangleClass.TIGHT}
 
 
 def test_classify_vertex_examples():
@@ -33,67 +57,57 @@ def test_classify_vertex_examples():
     assert classify_vertex(1, 5, 2) is S
 
 
-def _compared_statuses(a, b, c):
+def _bit_rule(t, result):
     # the comparison definition: each vertex against the Nim sum of the other two
-    return (classify_vertex(a, b, c), classify_vertex(b, a, c), classify_vertex(c, a, b))
+    compared = tuple(classify_vertex(t[i], t[j], t[k]) for i, (j, k) in enumerate(_OTHERS))
+    assert result.statuses == compared, t
+    assert result.kind is _KINDS[result.statuses.count(L)], t
+    assert (result.discriminant is None) == (result.kind is TriangleClass.FLAT), t
 
 
-def _assert_bit_rule(triples):
-    for a, b, c in triples:
-        for t in ((a, b, c), (a, b, a ^ b)):  # each also flat, with c = a ^ b
-            assert classify_triangle(*t).statuses == _compared_statuses(*t), t
+def _discriminant(t, result):
+    # the literal definition: the largest digit position where a disagrees with b XOR c
+    a, b, c = t
+    top = max(a.bit_length(), b.bit_length(), c.bit_length())
+    scan = (i for i in reversed(range(top)) if bit(a, i) != bit(b, i) ^ bit(c, i))
+    assert result.discriminant == next(scan, None), t
 
 
-def test_bit_rule_matches_comparison_definition():
-    # every triple of word edges, and 200 seeded ones of 65 to 160 bits an entry
-    rng = random.Random(160)
-    wide = [tuple(of_width(rng, rng.randint(65, 160)) for _ in range(3)) for _ in range(200)]
-    _assert_bit_rule([*product(WORD_EDGES, repeat=3), *wide])
+def _reorder(t, result):
+    # the leftmost entry that is >= the Nim sum of the other two goes first, and the other
+    # two keep their order
+    first = next(i for i, status in enumerate(result.statuses) if status is not S)
+    perm = (first, *_OTHERS[first])
+    assert reorder_dominant(*t) == (tuple(t[i] for i in perm), perm), t
 
 
-def test_bit_rule_matches_comparison_definition_exhaustive():
-    _assert_bit_rule(product(range(16), repeat=3))
+def _moves(t, result):
+    # one move per large vertex, down to the Nim sum of the other two; the advice is the first
+    moves = [(i, t[j] ^ t[k]) for i, (j, k) in enumerate(_OTHERS) if result.statuses[i] is L]
+    assert winning_moves(t) == moves, t
+    assert advise_move(t) == (moves[0] if moves else None), t
 
 
-def test_flat_triangle():
-    result = classify_triangle(3, 1, 2)
-    assert result.kind is TriangleClass.FLAT
-    assert result.statuses == (A, A, A)
-    assert result.discriminant is None
+def _equivariance(t, result):
+    for perm in permutations(range(3)):
+        statuses = tuple(result.statuses[i] for i in perm)
+        want = (statuses, result.kind, result.discriminant)
+        assert classify_triangle(*(t[i] for i in perm)) == want, (t, perm)
 
 
-def test_loose_triangle():
-    result = classify_triangle(5, 1, 2)
-    assert result.kind is TriangleClass.LOOSE
-    assert result.statuses == (L, S, S)
-    assert result.discriminant == 2
+ROUTES = {
+    "bit-rule": _bit_rule,
+    "discriminant": _discriminant,
+    "reorder": _reorder,
+    "moves": _moves,
+    "equivariance": _equivariance,
+}
 
 
-def test_tight_triangle():
-    result = classify_triangle(2, 2, 3)
-    assert result.kind is TriangleClass.TIGHT
-    assert result.statuses == (L, L, L)
-    assert result.discriminant == 1
-
-
-def test_all_ones_triangle_is_tight():
-    result = classify_triangle(1, 1, 1)
-    assert result.kind is TriangleClass.TIGHT
-    assert result.statuses == (L, L, L)
-    assert result.discriminant == 0
-
-
-def _scan_discriminant(a, b, c):
-    # literal definition: largest digit position where a disagrees with b XOR c
-    for i in reversed(range(max(a.bit_length(), b.bit_length(), c.bit_length()))):
-        if bit(a, i) != bit(b, i) ^ bit(c, i):
-            return i
-    return None
-
-
-def test_discriminant_matches_digit_scan():
-    for t in _triples(8):
-        assert classify_triangle(*t).discriminant == _scan_discriminant(*t), t
+@pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES)
+def test_route_agrees_with_classify_triangle(route):
+    for t in TRIPLES:
+        route(t, classify_triangle(*t))
 
 
 def test_case_table_contradiction_rule():
@@ -113,33 +127,3 @@ def test_case_table_rejects_non_digits():
     for digits in [(True, 0, 0), (1, False, 0), (1, 0, 1.0), (0.0, 0, 1), (0, "1", 0)]:
         with pytest.raises(ValueError):
             case_table_lookup(*digits)
-
-
-def test_reorder_moves_dominant_to_front():
-    assert reorder_dominant(1, 2, 7) == ((7, 1, 2), (2, 0, 1))
-
-
-def test_reorder_keeps_flat_triple_in_place():
-    assert reorder_dominant(3, 1, 2) == ((3, 1, 2), (0, 1, 2))
-
-
-def test_reorder_prefers_leftmost_qualifier():
-    assert reorder_dominant(2, 2, 3) == ((2, 2, 3), (0, 1, 2))
-
-
-def test_reorder_postcondition():
-    for t in _triples(16):
-        (x, y, z), perm = reorder_dominant(*t)
-        assert x >= y ^ z, t
-        assert sorted(perm) == [0, 1, 2], t
-        assert tuple(t[p] for p in perm) == (x, y, z), t
-
-
-def test_classification_is_permutation_equivariant():
-    for t in _triples(4):
-        base = classify_triangle(*t)
-        for perm in permutations(range(3)):
-            result = classify_triangle(*(t[i] for i in perm))
-            assert result.kind is base.kind, (t, perm)
-            assert result.statuses == tuple(base.statuses[i] for i in perm), (t, perm)
-            assert result.discriminant == base.discriminant, (t, perm)
