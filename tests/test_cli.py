@@ -1,11 +1,16 @@
 """What the golden battery of ``tools/golden.py`` cannot pin about the command line.
 
 The battery records each argv's exit code, stdout, stderr and files, run in
-process.  The tests here need more.  One table, ``STREAMS``, holds every case
-of a child process whose stdout or stderr fails or is closed, and reads the
-bytes it expects from the battery wherever the argv is an entry; the other
-tests make a check fail, trace memory, replace a file, or interrupt a render
-part way or ``python -m nimtriples`` while it imports the command line.
+process in an empty directory.  Two tables hold what that cannot show, and
+``_child`` runs every row of both.  ``STREAMS`` holds every case of a child
+whose stdout or stderr fails or is closed, and reads the bytes it expects
+from the battery wherever the argv is an entry.  ``TARGETS`` holds every way
+``render --out`` can end: each row is a sentence of the README's render
+contract, the paragraph on how the PGM is written and the sentences on exit
+codes 130 and 143, and gives what ``--out`` names before the run, one
+disturbance, the exit code, stdout and stderr, and the whole directory after
+the run.  The other tests make a check fail, trace a render's memory, or
+interrupt ``python -m nimtriples`` while it imports the command line.
 """
 
 import contextlib
@@ -15,15 +20,12 @@ import os
 import stat
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 
 import pytest
 
 import nimtriples
 from conftest import GOLDEN_BY_ARGV, child_env, golden, run_child
-from nimtriples import render
 from nimtriples.cli import main
 from nimtriples.render import render_pgm
 
@@ -49,42 +51,6 @@ def test_render_at_its_default_cap_writes_without_joining(capsys, tmp_path):
     assert target.read_bytes() == render_pgm(12, 5)
 
 
-_LIMITED_WRITE = """
-import resource, signal, sys
-signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
-soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
-resource.setrlimit(resource.RLIMIT_FSIZE, (1000, hard))
-from nimtriples.cli import main
-sys.exit(main(sys.argv[1:]))
-"""
-
-
-def test_render_failed_write_leaves_existing_file_untouched(tmp_path):
-    # the child may write at most 1000 bytes per file, less than the 4107-byte PGM
-    target = tmp_path / "grid.pgm"
-    target.write_bytes(b"previous render")
-    proc = run_child("-c", _LIMITED_WRITE, "render", "6", "0", "--out", str(target))
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert f"cannot write {target}" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert target.read_bytes() == b"previous render"
-    assert list(tmp_path.iterdir()) == [target]
-
-
-def test_interrupt_exits_130_and_leaves_no_file(capsys, monkeypatch, tmp_path):
-    # Ctrl-C between two pieces: no line, the scratch file goes, the target stays as it was
-    def pieces(*args):
-        yield b"P5\n"
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(render, "_pgm_chunks", pieces)
-    target = tmp_path / "grid.pgm"
-    target.write_bytes(b"previous render")
-    assert run(capsys, "render", "2", "5", "--out", str(target)) == (130, "", "")
-    assert target.read_bytes() == b"previous render"
-    assert list(tmp_path.iterdir()) == [target]
-
-
 # python -m nimtriples, interrupted while __main__ imports the command line
 _INTERRUPTED_IMPORT = """
 import runpy, sys
@@ -100,53 +66,6 @@ runpy.run_module("nimtriples", run_name="__main__", alter_sys=True)
 def test_interrupt_while_the_command_line_imports_exits_130():
     proc = run_child("-c", _INTERRUPTED_IMPORT)
     assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "")
-
-
-# A render whose pieces send the process SIGTERM after the first, so nothing depends on timing,
-# under the SIGTERM handler of argv[1]; last, the handler in place once main has returned.
-_TERMINATED_WRITE = """
-import signal, sys
-from nimtriples import render
-from nimtriples.cli import main
-def pieces(*args):
-    header, *rest = real(*args)
-    yield header
-    signal.raise_signal(signal.SIGTERM)
-    yield from rest
-real, render._pgm_chunks = render._pgm_chunks, pieces
-signal.signal(signal.SIGTERM, getattr(signal, sys.argv[1]))
-code = main(sys.argv[2:])
-print(signal.getsignal(signal.SIGTERM).name)
-sys.exit(code)
-"""
-
-
-@pytest.mark.parametrize("handler", ["SIG_DFL", "SIG_IGN"])
-def test_sigterm_mid_render_exits_143_where_nothing_else_handles_it(tmp_path, handler):
-    target = tmp_path / "grid.pgm"
-    target.write_bytes(b"previous render")
-    argv = [handler, "render", "6", "5", "--out", str(target)]
-    proc = run_child("-c", _TERMINATED_WRITE, *argv)
-    if handler == "SIG_DFL":  # no scratch file left, and the target as it was
-        assert (proc.returncode, proc.stdout, proc.stderr) == (143, "SIG_DFL\n", "")
-        assert target.read_bytes() == b"previous render"
-    else:  # a handler the caller set is left in place, and here ignores the signal
-        out = f"out={target} width=64 height=64\nSIG_IGN\n"
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
-        assert target.read_bytes() == render_pgm(6, 5)
-    assert list(tmp_path.iterdir()) == [target]
-
-
-def test_render_in_another_thread_writes_without_a_handler(capsys, tmp_path):
-    # only the main thread can set a signal handler, so another thread's render sets none
-    target = tmp_path / "grid.pgm"
-    codes = []
-    argv = ["render", "2", "5", "--out", str(target)]
-    thread = threading.Thread(target=lambda: codes.append(main(argv)))
-    thread.start()
-    thread.join()
-    assert (codes, capsys.readouterr().err) == ([0], "")
-    assert target.read_bytes() == render_pgm(2, 5)
 
 
 _HELP, _SUM_HELP = GOLDEN_BY_ARGV["-h",]["stdout"], GOLDEN_BY_ARGV["sum", "-h"]["stdout"]
@@ -209,21 +128,17 @@ STREAMS = [
 ]
 
 
-def _child(*argv, stdout, stderr, unbuffered, closed, cwd):
-    # a buffered stdout keeps the bytes a failed flush could not write and
-    # flushes them again at exit; an unbuffered one fails at the first write
-    def close_at_start():
-        for fd in closed:
-            os.close(fd)
-
+def _child(*args, cwd, before, env=None, **streams):
+    """The running child ``sys.executable args`` in ``cwd``, in ``child_env`` with ``env``'s
+    changes; ``before()`` runs in the child ahead of its exec, so it may close an fd or name
+    a file by the child's pid."""
     return subprocess.Popen(
-        [sys.executable, "-m", "nimtriples", *argv],
-        stdout=stdout,
-        stderr=stderr,
+        [sys.executable, *args],
         text=True,
-        env=child_env(PYTHONUNBUFFERED="1" if unbuffered else None),
-        preexec_fn=close_at_start,
+        env=child_env(**(env or {})),
+        preexec_fn=before,
         cwd=cwd,
+        **streams,
     )
 
 
@@ -243,10 +158,24 @@ def test_failing_stream(tmp_path, argv, fd1, fd2, code, out, err, unbuffered):
                 return opened.enter_context(open("/dev/full", "w"))
             return None if how == "closed" else subprocess.PIPE
 
-        closed = [fd for fd, how in ((1, fd1), (2, fd2)) if how == "closed"]
-        streams = dict(stdout=stream(fd1, "out"), stderr=stream(fd2, "err"))
+        def close_at_start():
+            for fd, how in ((1, fd1), (2, fd2)):
+                if how == "closed":
+                    os.close(fd)
+
+        # a buffered stdout keeps the bytes a failed flush could not write and
+        # flushes them again at exit; an unbuffered one fails at the first write
         proc = opened.enter_context(
-            _child(*argv, **streams, unbuffered=unbuffered, closed=closed, cwd=tmp_path)
+            _child(
+                "-m",
+                "nimtriples",
+                *argv,
+                stdout=stream(fd1, "out"),
+                stderr=stream(fd2, "err"),
+                env={"PYTHONUNBUFFERED": "1" if unbuffered else None},
+                before=close_at_start,
+                cwd=tmp_path,
+            )
         )
         if fd1 == "pipe-10":  # about 4 MB of table against a reader that stops after 10 bytes
             assert len(proc.stdout.read(10)) == 10
@@ -285,89 +214,147 @@ def test_failed_check_prints_its_verdict_and_exits_1(capsys, monkeypatch, argv, 
     assert (code, json.loads(out), err) == (1, payload, "")
 
 
-def test_render_replaces_existing_file(capsys, tmp_path):
-    target = tmp_path / "grid.pgm"
-    target.write_bytes(b"previous render")
-    code, _, _ = run(capsys, "render", "1", "0", "--out", str(target))
-    assert code == 0
-    assert target.read_bytes() == b"P5\n2 2\n255\n" + bytes([255, 85, 85, 255])
-    assert list(tmp_path.iterdir()) == [target]
+# The child of every TARGETS row: argv[1] names its one disturbance, and main gets the rest.  An
+# interrupt or a SIGTERM comes right after the header, so nothing depends on timing, and the
+# SIGTERM handler in place before main runs must be the one in place after it returns.
+_LAUNCHER = """
+import signal, sys, threading, time
+from nimtriples import render
+from nimtriples.cli import main
+how, argv, codes = sys.argv[1], sys.argv[2:], []
+if how == "fsize":  # no file may grow past 1000 bytes, and a write past them fails with EFBIG
+    import resource
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+elif how == "ns7":
+    time.time_ns = lambda: 7
+elif how in ("interrupt", "SIG_DFL", "SIG_IGN"):
+    def pieces(*args):
+        header, *rest = real(*args)
+        yield header
+        if how == "interrupt":
+            raise KeyboardInterrupt
+        signal.raise_signal(signal.SIGTERM)
+        yield from rest
+    real, render._pgm_chunks = render._pgm_chunks, pieces
+    if how != "interrupt":
+        signal.signal(signal.SIGTERM, getattr(signal, how))
+handler = signal.getsignal(signal.SIGTERM)
+run = lambda: codes.append(main(argv))
+if how == "thread":
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+else:
+    run()
+if signal.getsignal(signal.SIGTERM) is not handler:
+    sys.exit("the SIGTERM handler changed")
+sys.exit(codes[0])
+"""
+
+_OLD = {"x.pgm": ("file", 0o644, b"previous render")}
+_LINKED = {"old.pgm": ("file", 0o640, b"previous render")}
 
 
-def test_render_beside_a_stale_scratch_file_leaves_it_as_it_was(capsys, monkeypatch, tmp_path):
-    # an earlier process with this pid, killed mid-write in this very ns, left its
-    # scratch file behind: the write refuses to open it, and makes no x.pgm
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(time, "time_ns", lambda: 7)
-    stale = tmp_path / f".{os.getpid()}.7.tmp"
-    stale.write_bytes(b"half a render")
-    code, out, err = run(capsys, "render", "2", "5", "--out", "x.pgm")
-    assert (code, out, err) == (1, "", f"error: cannot write x.pgm: {os.strerror(errno.EEXIST)}\n")
-    assert stale.read_bytes() == b"half a render"
-    assert list(tmp_path.iterdir()) == [stale]
+def _written(k, c, mode=0o644):
+    return {"x.pgm": ("file", mode, render_pgm(k, c))}
 
 
-@pytest.mark.parametrize("mode", [0o600, 0o444, 0o751], ids=oct)
-def test_render_keeps_the_permission_bits_of_the_file_it_replaces(capsys, tmp_path, mode):
-    target = tmp_path / "x.pgm"
-    target.write_bytes(b"previous render")
-    target.chmod(mode)
-    assert run(capsys, "render", "2", "5", "--out", str(target))[0] == 0
-    assert target.read_bytes() == render_pgm(2, 5)
-    assert stat.S_IMODE(target.stat().st_mode) == mode
-    # a new target gets the mode that a plain write gives
-    plain, new = tmp_path / "plain", tmp_path / "new.pgm"
-    plain.write_bytes(b"")
-    assert run(capsys, "render", "2", "5", "--out", str(new))[0] == 0
-    assert new.stat().st_mode == plain.stat().st_mode
+def _said(k):
+    return f"out=x.pgm width={1 << k} height={1 << k}\n"
 
 
-def test_render_over_a_symlink_replaces_the_link(capsys, tmp_path):
-    # the link becomes a regular file with the permission bits of the file it
-    # named, and that file is left as it was
-    old = tmp_path / "old.pgm"
-    old.write_bytes(b"previous render")
-    old.chmod(0o640)
-    link = tmp_path / "x.pgm"
-    link.symlink_to(old)
-    assert run(capsys, "render", "2", "5", "--out", str(link))[0] == 0
-    assert not link.is_symlink()
-    assert link.read_bytes() == render_pgm(2, 5)
-    assert stat.S_IMODE(link.stat().st_mode) == 0o640
-    assert old.read_bytes() == b"previous render"
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["old.pgm", "x.pgm"]
+def _refused(number):
+    return f"error: cannot write x.pgm: {os.strerror(number)}\n"
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
-def test_render_into_a_fifo_writes_into_it_in_place(capsys, tmp_path):
-    # the read end is open, so opening the write end does not block, and the
-    # 2x2 PGM fits in the pipe's buffer; replaced by a file, the FIFO reads as empty
-    fifo = tmp_path / "x.pgm"
-    os.mkfifo(fifo)
-    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
-    try:
-        assert run(capsys, "render", "1", "0", "--out", str(fifo))[0] == 0
-        assert os.read(reader, 1 << 16) == render_pgm(1, 0)
-    finally:
-        os.close(reader)
-    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
-    assert list(tmp_path.iterdir()) == [fifo]
+def _target(name, before, how, k, c, code, out, err, after=None):
+    """A row: the directory before the run, the disturbance, ``render k c --out x.pgm``, its exit
+    code, stdout and stderr, and the directory after the run, None where it is as before."""
+    after = before if after is None else after
+    return pytest.param(before, how, k, c, code, out, err, after, id=name)
 
 
-def test_failed_render_names_only_its_target(capsys, tmp_path):
-    # the temporary file's name holds the pid, so the error line leaves it out
-    missing = str(tmp_path / "missing" / "x.pgm")
-    first = run(capsys, "render", "2", "5", "--out", missing)
-    assert first == (1, "", f"error: cannot write {missing}: {os.strerror(errno.ENOENT)}\n")
-    assert run(capsys, "render", "2", "5", "--out", missing) == first
-    # a directory as the target is not a regular file, so it is opened in
-    # place, which fails, and no temporary file is made
-    target = tmp_path / "dir"
-    target.mkdir()
-    code, out, err = run(capsys, "render", "2", "5", "--out", str(target))
-    assert (code, out) == (1, "")
-    assert err == f"error: cannot write {target}: {os.strerror(errno.EISDIR)}\n"
-    assert ".tmp" not in first[2] + err
-    assert list(tmp_path.iterdir()) == [target]
-    assert list(target.iterdir()) == []
+# Every way `render --out x.pgm` can end, each row a sentence of the README's render contract.  A
+# directory maps each name to ("file", mode, bytes), ("link", target), ("fifo", bytes read from
+# it) or ("dir", names), and a name may hold the child's {pid}.  The child runs under umask 022,
+# so the default mode of a new file is 0o644.
+TARGETS = [
+    # a failed write leaves any existing file untouched: the 4107-byte PGM passes 1000 bytes
+    _target("fsize", _OLD, "fsize", 6, 0, 1, "", _refused(errno.EFBIG)),
+    # a scratch file left by an earlier process of the same pid, in the same ns, is never reused
+    _target("stale", {".{pid}.7.tmp": ("file", 0o644, b"half a render")}, "ns7", 2, 5, 1, "",
+            _refused(errno.EEXIST)),
+    # a target that exists keeps its permission bits
+    *(
+        _target(oct(mode), {"x.pgm": ("file", mode, b"previous render")}, "none", 1, 0, 0,
+                _said(1), "", _written(1, 0, mode))
+        for mode in (0o600, 0o444, 0o751)
+    ),
+    # a symlink is replaced by a regular file with the bits of the file it named, left as it was
+    _target("symlink", {**_LINKED, "x.pgm": ("link", "old.pgm")}, "none", 2, 5, 0, _said(2), "",
+            {**_LINKED, **_written(2, 5, 0o640)}),
+    # a dangling symlink is replaced by a file of the default mode, and nothing it names is made
+    _target("dangling", {"x.pgm": ("link", "nowhere/t.pgm")}, "none", 1, 0, 0, _said(1), "",
+            _written(1, 0)),
+    # something that exists and is not a regular file is written into in place, with no scratch
+    # file: a FIFO whose reader is open takes the PGM, and a directory refuses it
+    _target("fifo", {"x.pgm": ("fifo", b"")}, "none", 1, 0, 0, _said(1), "",
+            {"x.pgm": ("fifo", render_pgm(1, 0))}),
+    _target("directory", {"x.pgm": ("dir", [])}, "none", 2, 5, 1, "", _refused(errno.EISDIR)),
+    # 130 interrupted and 143 terminated while the file is written: no line, no scratch file,
+    # and --out as it was
+    _target("interrupt", _OLD, "interrupt", 2, 5, 130, "", ""),
+    _target("SIG_DFL", _OLD, "SIG_DFL", 6, 5, 143, "", ""),
+    # a SIGTERM handler set before the run stays, here one that ignores the signal
+    _target("SIG_IGN", _OLD, "SIG_IGN", 6, 5, 0, _said(6), "", _written(6, 5)),
+    # outside the main thread no handler can be set, and the render writes without one
+    _target("thread", {}, "thread", 2, 5, 0, _said(2), "", _written(2, 5)),
+]
 
+
+def _listing(directory, readers):
+    """Each entry of ``directory`` as a row of TARGETS gives it, a FIFO read from ``readers``."""
+
+    def entry(path):
+        mode = path.lstat().st_mode
+        if stat.S_ISLNK(mode):
+            return "link", os.readlink(path)
+        if stat.S_ISFIFO(mode):
+            return "fifo", os.read(readers[path.name], 1 << 16)
+        if stat.S_ISDIR(mode):
+            return "dir", sorted(os.listdir(path))
+        return "file", stat.S_IMODE(mode), path.read_bytes()
+
+    return {path.name: entry(path) for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("before,how,k,c,code,out,err,after", TARGETS)
+def test_render_target(tmp_path, before, how, k, c, code, out, err, after):
+    def make():  # in the child, so that a name can hold its pid
+        os.umask(0o022)
+        for name, (kind, *rest) in before.items():
+            path = tmp_path / name.format(pid=os.getpid())
+            if kind == "file":
+                path.write_bytes(rest[1])
+                path.chmod(rest[0])
+            elif kind == "link":
+                path.symlink_to(rest[0])
+            elif kind == "fifo":
+                os.mkfifo(path)
+            else:
+                path.mkdir()
+
+    argv = ["-c", _LAUNCHER, how, "render", str(k), str(c), "--out", "x.pgm"]
+    pipes = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with contextlib.ExitStack() as opened:
+        proc = opened.enter_context(_child(*argv, before=make, cwd=tmp_path, **pipes))
+        # opened without blocking, a FIFO's reader lets the child's open for writing go on
+        readers = {}
+        for name, (kind, *_) in before.items():
+            if kind == "fifo":
+                readers[name] = os.open(tmp_path / name, os.O_RDONLY | os.O_NONBLOCK)
+                opened.callback(os.close, readers[name])
+        assert (proc.communicate(timeout=60), proc.returncode) == ((out, err), code)
+        named = {name.format(pid=proc.pid): entry for name, entry in after.items()}
+        assert _listing(tmp_path, readers) == named

@@ -60,24 +60,6 @@ def test_block_marks_are_the_exclusion_set():
         assert _exclusion_marks(a, b) == bytes(v in excluded for v in range(a + b + 1)), (a, b)
 
 
-def test_greedy_table_four():
-    assert greedy_minimal_table(4) == [
-        [0, 1, 2, 3],
-        [1, 0, 3, 2],
-        [2, 3, 0, 1],
-        [3, 2, 1, 0],
-    ]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
-def test_greedy_table_rows_and_columns_repetition_free(n):
-    rows = greedy_minimal_table(n)
-    for row in rows:
-        assert len(set(row)) == n
-    for b in range(n):
-        assert len({rows[a][b] for a in range(n)}) == n
-
-
 def test_greedy_entries_are_minimal():
     # every entry is the mex of its row prefix and the column above it:
     # each smaller value collides there and the entry itself does not
