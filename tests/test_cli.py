@@ -275,7 +275,8 @@ def _target(name, before, how, k, c, code, out, err, after=None):
     return pytest.param(before, how, k, c, code, out, err, after, id=name)
 
 
-# Every way `render --out x.pgm` can end, each row a sentence of the README's render contract.  A
+# Every way `render --out x.pgm` can end, each row a sentence of the README's render contract;
+# the two tests after test_render_target add a regular file replaced, its bytes and bits.  A
 # directory maps each name to ("file", mode, bytes), ("link", target), ("fifo", bytes read from
 # it) or ("dir", names), and a name may hold the child's {pid}.  The child runs under umask 022,
 # so the default mode of a new file is 0o644.
@@ -285,12 +286,6 @@ TARGETS = [
     # a scratch file left by an earlier process of the same pid, in the same ns, is never reused
     _target("stale", {".{pid}.7.tmp": ("file", 0o644, b"half a render")}, "ns7", 2, 5, 1, "",
             _refused(errno.EEXIST)),
-    # a target that exists keeps its permission bits
-    *(
-        _target(oct(mode), {"x.pgm": ("file", mode, b"previous render")}, "none", 1, 0, 0,
-                _said(1), "", _written(1, 0, mode))
-        for mode in (0o600, 0o444, 0o751)
-    ),
     # a symlink is replaced by a regular file with the bits of the file it named, left as it was
     _target("symlink", {**_LINKED, "x.pgm": ("link", "old.pgm")}, "none", 2, 5, 0, _said(2), "",
             {**_LINKED, **_written(2, 5, 0o640)}),
@@ -329,8 +324,8 @@ def _listing(directory, readers):
     return {path.name: entry(path) for path in directory.iterdir()}
 
 
-@pytest.mark.parametrize("before,how,k,c,code,out,err,after", TARGETS)
-def test_render_target(tmp_path, before, how, k, c, code, out, err, after):
+def _render_ends(tmp_path, before, how, k, c, code, out, err, after):
+    """Run ``render k c --out x.pgm`` in a child as a row of TARGETS gives it, and check the row."""
     def make():  # in the child, so that a name can hold its pid
         os.umask(0o022)
         for name, (kind, *rest) in before.items():
@@ -358,3 +353,19 @@ def test_render_target(tmp_path, before, how, k, c, code, out, err, after):
         assert (proc.communicate(timeout=60), proc.returncode) == ((out, err), code)
         named = {name.format(pid=proc.pid): entry for name, entry in after.items()}
         assert _listing(tmp_path, readers) == named
+
+
+@pytest.mark.parametrize("before,how,k,c,code,out,err,after", TARGETS)
+def test_render_target(tmp_path, before, how, k, c, code, out, err, after):
+    _render_ends(tmp_path, before, how, k, c, code, out, err, after)
+
+
+def test_render_replaces_existing_file(tmp_path):
+    pgm = b"P5\n2 2\n255\n" + bytes([255, 85, 85, 255])
+    _render_ends(tmp_path, _OLD, "none", 1, 0, 0, _said(1), "", {"x.pgm": ("file", 0o644, pgm)})
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o444, 0o751], ids=oct)
+def test_render_keeps_the_permission_bits_of_the_file_it_replaces(tmp_path, mode):
+    before = {"x.pgm": ("file", mode, b"previous render")}
+    _render_ends(tmp_path, before, "none", 2, 5, 0, _said(2), "", _written(2, 5, mode))
