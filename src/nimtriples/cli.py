@@ -11,12 +11,12 @@ own limit, and the CLI writes only ASCII of its own.
 Exit codes: 0 success, 1 failed verification or write error, 2 usage error,
 3 cap exceeded: an enumeration cap, or an integer too long to print in decimal;
 130 interrupted, and 143 a render terminated while it writes its file.
-Each command returns its payload, text and exit code; ``main`` parses,
-computes, formats and writes, and returns every exit code.  A run ends
-early only in a ``_Stop(code, text)``, or in a library refusal that ``main``
-reads as one: a cap (3) or a bad value (2), or in a KeyboardInterrupt (130).
-``main`` writes every early end in one place, help on stdout and the rest on
-stderr.  A stderr that fails changes no exit code.
+Each command returns its payload, text and exit code, and render its file's
+chunks too; ``main`` parses, computes, formats, writes the file, then the
+line, and returns every exit code.  A run ends early only in a ``_Stop``, or
+in a library refusal read as one: a cap (3) or a bad value (2), or in a
+KeyboardInterrupt (130).  ``main`` writes every early end in one place, help
+on stdout and the rest on stderr.  A stderr that fails changes no exit code.
 """
 
 import errno
@@ -66,11 +66,6 @@ def _integers(value) -> Iterator[int]:
         yield value
 
 
-# A command's JSON payload, its text (built only in ``_format``, whose wide-output
-# check catches a failed decimal conversion) and its exit code.
-_Result = tuple[dict, Callable[[], str], int]
-
-
 class _Stop(Exception):
     """The run ends early with ``(exit code, text)``: help (0), a failed write (1), misuse (2),
     or a SIGTERM while render writes (143)."""
@@ -95,12 +90,12 @@ def _max_k() -> int | None:
     return max_k
 
 
-def _run_sum(args: SimpleNamespace) -> _Result:
+def _run_sum(args: SimpleNamespace) -> tuple:
     value = nim_sum(args.a, args.b)
     return {"value": value}, lambda: str(value), 0
 
 
-def _run_classify(args: SimpleNamespace) -> _Result:
+def _run_classify(args: SimpleNamespace) -> tuple:
     from .triangles import classify_triangle
 
     result = classify_triangle(args.a, args.b, args.c)
@@ -115,7 +110,7 @@ def _run_classify(args: SimpleNamespace) -> _Result:
     return payload, lambda: " ".join(parts), 0
 
 
-def _run_reorder(args: SimpleNamespace) -> _Result:
+def _run_reorder(args: SimpleNamespace) -> tuple:
     from .triangles import reorder_dominant
 
     triple, perm = reorder_dominant(args.a, args.b, args.c)
@@ -123,14 +118,14 @@ def _run_reorder(args: SimpleNamespace) -> _Result:
     return payload, lambda: "{} {} {} perm={},{},{}".format(*triple, *perm), 0
 
 
-def _run_mex(args: SimpleNamespace) -> _Result:
+def _run_mex(args: SimpleNamespace) -> tuple:
     from .mex import mex_oracle
 
     value = mex_oracle(args.a, args.b)
     return {"value": value}, lambda: str(value), 0
 
 
-def _run_table(args: SimpleNamespace) -> _Result:
+def _run_table(args: SimpleNamespace) -> tuple:
     from .mex import greedy_minimal_table, table_to_text, verify_table_equals_xor
 
     rows = greedy_minimal_table(args.n)
@@ -145,7 +140,7 @@ def _run_table(args: SimpleNamespace) -> _Result:
     return payload, lambda: text, int(not ok)
 
 
-def _run_move(args: SimpleNamespace) -> _Result:
+def _run_move(args: SimpleNamespace) -> tuple:
     from .advisor import advise_move, winning_moves
 
     if args.all:
@@ -161,7 +156,7 @@ def _run_move(args: SimpleNamespace) -> _Result:
     return payload, lambda: "\n".join(line(*m) for m in moves) or "no-winning-move", 0
 
 
-def _run_census(args: SimpleNamespace) -> _Result:
+def _run_census(args: SimpleNamespace) -> tuple:
     from ._census import census, census_closed_form_check
 
     report = census(args.k, max_k=_max_k())
@@ -187,40 +182,12 @@ def _write_replacing(path: str, chunks: list[bytes]) -> None:
     permission bits before the first chunk; a new ``path`` keeps the default.
     Where ``path`` names, through any links, something other than a regular
     file, such as a FIFO or a device, the chunks are written into it in place.
+    A failed write and a SIGTERM under the default handler end in ``_Stop``.
     """
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "wb") as handle:
-            handle.writelines(chunks)
-        return
-    scratch = os.path.join(os.path.dirname(path), f".{os.getpid()}.{time.time_ns()}.tmp")
-    handle = open(scratch, "xb")
-    try:
-        with handle:
-            if mode is not None:
-                os.chmod(scratch, mode & 0o777)
-            handle.writelines(chunks)
-        os.replace(scratch, path)
-    except BaseException:
-        try:
-            os.unlink(scratch)
-        except OSError:
-            pass
-        raise
+    import signal  # only a file write leaves something behind when SIGTERM ends the process
 
-
-def _run_render(args: SimpleNamespace) -> _Result:
-    import signal  # only render leaves a file behind when SIGTERM ends the process
-
-    from .render import _pgm_chunks
-
-    # written piece by piece: joined, a k=12 PGM would be one more 16 MiB object
-    chunks = _pgm_chunks(args.k, args.c, _max_k())
     # the default SIGTERM ends the process where it stands, so no cleanup runs; raised as a
-    # _Stop instead, it lets _write_replacing remove its scratch file.  A handler the caller
+    # _Stop instead, it lets the cleanup below remove the scratch file.  A handler the caller
     # set stays, and only the main thread can set one.
     ours = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
     if ours:
@@ -229,17 +196,45 @@ def _run_render(args: SimpleNamespace) -> _Result:
         except ValueError:  # not the main thread
             ours = False
     try:
-        _write_replacing(args.out, chunks)
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "wb") as handle:
+                handle.writelines(chunks)
+            return
+        scratch = os.path.join(os.path.dirname(path), f".{os.getpid()}.{time.time_ns()}.tmp")
+        handle = open(scratch, "xb")
+        try:
+            with handle:
+                if mode is not None:
+                    os.chmod(scratch, mode & 0o777)
+                handle.writelines(chunks)
+            os.replace(scratch, path)
+        except BaseException:
+            try:
+                os.unlink(scratch)
+            except OSError:
+                pass
+            raise
     except OSError as exc:
         # strerror alone, as the OSError may name the pid's temporary file; a name too long is cut
-        out = _token(args.out, str) if exc.errno == errno.ENAMETOOLONG else args.out
+        out = _token(path, str) if exc.errno == errno.ENAMETOOLONG else path
         raise _Stop(1, f"error: cannot write {out}: {exc.strerror}\n") from None
     finally:
         if ours:
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _run_render(args: SimpleNamespace) -> tuple:
+    from .render import _pgm_chunks
+
+    # written piece by piece, by main: joined, a k=12 PGM would be one more 16 MiB object
+    chunks = _pgm_chunks(args.k, args.c, _max_k())
     n = 1 << args.k
     payload = {"out": args.out, "width": n, "height": n}
-    return payload, lambda: f"out={args.out} width={n} height={n}", 0
+    return payload, lambda: f"out={args.out} width={n} height={n}", 0, chunks
 
 
 # The command table: each command's run, help and operands, and its one option as usage shows
@@ -409,8 +404,11 @@ def main(argv: list[str] | None = None) -> int:
         try:
             try:
                 args = _parse(list(sys.argv[1:] if argv is None else argv))
-                payload, text, code = _COMMANDS[args.command][0](args)
-                print(_format(payload, text, args.json))
+                payload, text, code, *chunks = _COMMANDS[args.command][0](args)
+                line = _format(payload, text, args.json)
+                if chunks:  # render's file, first: a line printed says it is written
+                    _write_replacing(args.out, *chunks)
+                print(line)
                 return code
             except _Stop as stop:
                 code, text = stop.args

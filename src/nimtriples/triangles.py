@@ -83,7 +83,8 @@ def classify_triangle(a: int, b: int, c: int) -> TriangleClassification:
     there have odd parity, so the large-vertex count is 3 (tight) or 1 (loose).
     The discriminant is msb(t), the highest bit position where a's digit
     differs from the XOR of b's and c's: digit i of a differs from it iff bit
-    i of t is set.
+    i of t is set.  ``tests/test_automata.py`` checks this classification and
+    ``CASE_TABLE`` at every width at once, with an automaton on the digits.
     """
     a = require_natural(a)
     b = require_natural(b)

@@ -218,7 +218,7 @@ def test_failed_check_prints_its_verdict_and_exits_1(capsys, monkeypatch, argv, 
 # interrupt or a SIGTERM comes right after the header, so nothing depends on timing, and the
 # SIGTERM handler in place before main runs must be the one in place after it returns.
 _LAUNCHER = """
-import signal, sys, threading, time
+import glob, os, signal, sys, threading, time
 from nimtriples import render
 from nimtriples.cli import main
 how, argv, codes = sys.argv[1], sys.argv[2:], []
@@ -228,16 +228,19 @@ if how == "fsize":  # no file may grow past 1000 bytes, and a write past them fa
     resource.setrlimit(resource.RLIMIT_FSIZE, (1000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
 elif how == "ns7":
     time.time_ns = lambda: 7
-elif how in ("interrupt", "SIG_DFL", "SIG_IGN"):
+elif how in ("interrupt", "vanish", "SIG_DFL", "SIG_IGN"):
     def pieces(*args):
         header, *rest = real(*args)
         yield header
-        if how == "interrupt":
+        if how == "vanish":  # the scratch file is gone before the cleanup would remove it
+            for name in glob.glob(f".{os.getpid()}.*.tmp"):
+                os.unlink(name)
+        if how in ("interrupt", "vanish"):
             raise KeyboardInterrupt
         signal.raise_signal(signal.SIGTERM)
         yield from rest
     real, render._pgm_chunks = render._pgm_chunks, pieces
-    if how != "interrupt":
+    if how not in ("interrupt", "vanish"):
         signal.signal(signal.SIGTERM, getattr(signal, how))
 handler = signal.getsignal(signal.SIGTERM)
 run = lambda: codes.append(main(argv))
@@ -300,6 +303,8 @@ TARGETS = [
     # 130 interrupted and 143 terminated while the file is written: no line, no scratch file,
     # and --out as it was
     _target("interrupt", _OLD, "interrupt", 2, 5, 130, "", ""),
+    # the same where the scratch file is already gone when the cleanup would remove it
+    _target("vanish", _OLD, "vanish", 2, 5, 130, "", ""),
     _target("SIG_DFL", _OLD, "SIG_DFL", 6, 5, 143, "", ""),
     # a SIGTERM handler set before the run stays, here one that ignores the signal
     _target("SIG_IGN", _OLD, "SIG_IGN", 6, 5, 0, _said(6), "", _written(6, 5)),

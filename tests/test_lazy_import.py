@@ -14,11 +14,12 @@ the CLI's decimal output limit.
 
 The package resolves every public name on first use, so its import loads no
 submodule, a command loads only the submodules it runs, ``json`` only under
-``--json`` and ``signal`` only for ``render``.  No module imports ``typing``
-or ``__future__``.  One child per command, on a bare interpreter, checks both
-what the command adds and that nothing in the process loads ``typing``,
-``__future__``, ``dataclasses``, ``contextlib``, ``argparse``, ``gettext``,
-``locale`` or ``textwrap``: the command line reads its argv itself.
+``--json`` and ``signal`` only for a ``render`` that writes its file.  No
+module imports ``typing`` or ``__future__``.  One child per command, on a
+bare interpreter, checks both what the command adds and that nothing in the
+process loads ``typing``, ``__future__``, ``dataclasses``, ``contextlib``,
+``argparse``, ``gettext``, ``locale`` or ``textwrap``: the command line
+reads its argv itself.
 
 Each check runs in a fresh interpreter, because the test process may have
 loaded any of these long before.  Nothing here asserts a timing.  Each
@@ -124,9 +125,9 @@ def test_command_loads_only_its_own_modules(tmp_path, argv, loads, as_json):
         _MODULES_CHILD, *argv, cwd=tmp_path, read=ast.literal_eval, flags=["-S"]
     )
     # json loads only to format a result, and a capped run (exit 3) formats none; signal
-    # loads only for render, which handles SIGTERM while it writes
+    # loads only for a render that writes its file, handling SIGTERM while it does
     formats = {"json"} if as_json and code == 0 else set()
-    handles = {"signal"} if "render" in argv else set()
+    handles = {"signal"} if "render" in argv and code == 0 else set()
     expected = {f"nimtriples.{name}" for name in loads} | formats | handles
     assert set(added) & _OPTIONAL == expected
     assert watched == []
